@@ -33,6 +33,7 @@ from .multiplier import (
     BoundReport,
     MultiplierReport,
     Presentation,
+    PresentationError,
     abelian_m2,
     bound_report,
     derived_dim_one_m2,

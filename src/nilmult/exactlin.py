@@ -1,11 +1,14 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals.
 
-Matrices carry ``Fraction`` entries.  A ``Subspace`` is stored as the unique
-reduced row-echelon basis inside a fixed ambient coordinate space, so equal
-subspaces compare equal structurally.  The elimination engine works on
-primitive integer rows (each row cleared of denominators and divided by the
-gcd of its entries); that is equivalent to rational Gauss-Jordan elimination
-but avoids per-entry ``Fraction`` normalisation in the inner loops.
+The elimination engine works on sparse primitive integer rows: each row is
+cleared of denominators and divided by the gcd of its entries, which is
+equivalent to rational Gauss-Jordan elimination but avoids per-entry
+``Fraction`` normalisation in the inner loops.  A ``Subspace`` is stored as
+the unique fully reduced (canonical) basis of such rows inside a fixed
+ambient coordinate space, so equal subspaces compare equal structurally, and
+it keeps a pivot -> row index so that reducing a vector touches only the
+pivots the vector hits.  ``Matrix`` is a small dense ``Fraction`` wrapper
+for the ``rref``/``kernel`` entry points.
 """
 
 from __future__ import annotations
@@ -210,10 +213,16 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
 
 
 def _kernel_rows(n: int, canonical_rows: list[IntRow]) -> list[IntRow]:
-    """Null space of the matrix with the given fully reduced rows."""
+    """Canonical basis rows of the null space of the matrix with the given
+    fully reduced rows.
+
+    The solution for free column f has its lowest entry on a pivot of the
+    constraints whenever one of them hits f, so two solutions can share a
+    leading column; they are put into canonical form before returning.
+    """
     by_pivot = {min(r): r for r in canonical_rows}
     free_cols = [c for c in range(n) if c not in by_pivot]
-    out = []
+    sp = _Spanner()
     for f in free_cols:
         hits = [(p, r) for p, r in by_pivot.items() if f in r]
         scale = 1
@@ -222,8 +231,8 @@ def _kernel_rows(n: int, canonical_rows: list[IntRow]) -> list[IntRow]:
         vec = {f: scale}
         for p, r in hits:
             vec[p] = -r[f] * (scale // r[p])
-        out.append(_primitive(vec))
-    return out
+        sp.insert(vec)
+    return sp.canonical()
 
 
 def kernel(m: Matrix) -> "Subspace":
@@ -242,7 +251,7 @@ class Subspace:
     columns otherwise zero), which is what :attr:`basis` exposes.
     """
 
-    __slots__ = ("ambient_dim", "_rows", "_pivots")
+    __slots__ = ("ambient_dim", "_rows", "_pivots", "_by_pivot")
 
     def __init__(self, ambient_dim: int, vectors: Iterable = ()):  # noqa: D401
         sp = _Spanner()
@@ -257,6 +266,7 @@ class Subspace:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "_rows", tuple(rows))
         object.__setattr__(self, "_pivots", tuple(min(r) for r in rows))
+        object.__setattr__(self, "_by_pivot", dict(zip(self._pivots, self._rows)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -313,36 +323,52 @@ class Subspace:
         """Residual of ``vector`` after eliminating this basis; {} iff member.
 
         The result is supported on non-pivot columns only, so it is the
-        canonical representative of ``vector`` modulo this subspace.
+        canonical representative of ``vector`` modulo this subspace.  The
+        rows are mutually reduced, so clearing one pivot never creates
+        another: the cost scales with the pivots the vector hits, not with
+        the rank of the subspace.
         """
-        v: dict[int, Fraction] = {}
+        n = self.ambient_dim
+        v: dict[int, Coeff] = {}
+        den = 1
         items = vector.items() if isinstance(vector, Mapping) else enumerate(vector)
         for c, x in items:
-            f = _as_fraction(x)
-            if f:
-                if c >= self.ambient_dim:
-                    raise ValueError(f"vector index {c} outside ambient dimension {self.ambient_dim}")
-                v[c] = f
-        # rows are mutually reduced, so one ascending pass clears every pivot
-        for p, row in zip(self._pivots, self._rows):
-            x = v.get(p)
-            if not x:
-                continue
-            factor = x / row[p]
+            if not isinstance(x, (int, Fraction)):
+                _as_fraction(x)  # raises TypeError
+            if x:
+                if c >= n:
+                    raise ValueError(f"vector index {c} outside ambient dimension {n}")
+                v[c] = x
+                d = x.denominator
+                if d != 1:
+                    den = den * d // math.gcd(den, d)
+        by_pivot = self._by_pivot
+        hit = sorted(c for c in v if c in by_pivot)
+        # scale * v is integral, and row[p] divides scale * v[p] for every
+        # hit pivot p, so each row is subtracted an integer number of times
+        scale = 1
+        for p in hit:
+            a = by_pivot[p][p]
+            scale = scale * a // math.gcd(scale, a)
+        scale *= den
+        w = {c: x.numerator * (scale // x.denominator) for c, x in v.items()}
+        for p in hit:
+            row = by_pivot[p]
+            f = w[p] // row[p]
             for c, rv in row.items():
-                n = v.get(c, Fraction(0)) - factor * rv
-                if n:
-                    v[c] = n
+                m = w.get(c, 0) - f * rv
+                if m:
+                    w[c] = m
                 else:
-                    v.pop(c, None)
-        return v
+                    del w[c]
+        return {c: Fraction(x, scale) for c, x in w.items()}
 
     def contains(self, vector) -> bool:
         return not self.reduce(vector)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(not self.reduce(dict(r)) for r in other._rows)
+        return all(not self.reduce(r) for r in other._rows)
 
     def _check_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:
@@ -378,7 +404,7 @@ class Subspace:
         """dim(self / other); requires other to be contained in self."""
         self._check_ambient(other)
         for r in other._rows:
-            residual = self.reduce(dict(r))
+            residual = self.reduce(r)
             if residual:
                 raise ContainmentError(
                     "quotient undefined: denominator subspace is not contained in the numerator",

@@ -15,9 +15,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exactlin import Matrix, Subspace, _int_row, _kernel_rows, _Spanner
+from .exactlin import Subspace, _int_row, _kernel_rows, _Spanner
 from .fdlie import LieAlgebra, NotNilpotentError, series, upper_centrals
 from .freelie import DIM_CAP, FreeNilpotentAlgebra, free_nilpotent, span_bracket_rows
+
+
+class PresentationError(ArithmeticError):
+    """A free presentation broke an invariant that exact arithmetic
+    guarantees for a nilpotent algebra; seeing it means a bug, not bad input."""
 
 
 @dataclass(frozen=True)
@@ -25,14 +30,17 @@ class Presentation:
     """Free presentation data for a nilpotent algebra at multiplier weight c."""
 
     ambient: FreeNilpotentAlgebra
-    onto_map: Matrix  # dim L rows, ambient.dim columns
-    relations: Subspace  # kernel of onto_map inside the ambient
+    relations: Subspace  # kernel of the map onto L inside the ambient
     c: int
     algebra: LieAlgebra
-    images: tuple = field(repr=False)  # sparse column form of onto_map
+    images: tuple = field(repr=False)  # image in L of each ambient basis word
 
     def __post_init__(self):
-        assert self.ambient.dim - self.relations.rank == self.algebra.dim
+        if self.ambient.dim - self.relations.rank != self.algebra.dim:
+            raise PresentationError(
+                f"rank-nullity fails: ambient dim {self.ambient.dim} minus relation rank "
+                f"{self.relations.rank} is not dim L = {self.algebra.dim}"
+            )
 
 
 @dataclass(frozen=True)
@@ -100,31 +108,31 @@ def present(
             raise ValueError(f"lift must have exactly {d} vectors, got {len(lift_vectors)}")
 
     F = free_nilpotent(d, k + c, dim_cap)
+    # brackets of length > k die in an algebra of class k; series(L) has
+    # shown that, so only length k + 1 is computed, as a check
+    live = F.stratum_starts[k + 2]
     images: list[dict[int, Fraction]] = []
-    for w in F.basis:
+    for w in F.basis[:live]:
         if w.is_generator:
             img = dict(lift_vectors[w.gen])
         else:
             img = L.bracket_vectors(images[w.left.key], images[w.right.key])
-        if w.length > k:
-            # brackets of length > k die in an algebra of class k
-            assert not img
+            if img and w.length > k:
+                raise PresentationError(
+                    f"{L.name}: the image of the length-{w.length} word {w} is non-zero "
+                    f"in an algebra of class {k}"
+                )
         images.append(img)
+    images.extend({} for _ in range(live, F.dim))
 
     sp = _Spanner()
     for r in range(L.dim):
-        row = {col: img[r] for col, img in enumerate(images) if r in img}
+        row = {col: img[r] for col, img in enumerate(images[:live]) if r in img}
         sp.insert(_int_row(row))
     if sp.rank != L.dim:
         raise ValueError("lift images fail to generate L")  # cannot happen for a valid lift
     relations = Subspace._from_rows(F.dim, _kernel_rows(F.dim, sp.canonical()))
-
-    onto = Matrix(
-        L.dim,
-        F.dim,
-        [[images[col].get(r, Fraction(0)) for col in range(F.dim)] for r in range(L.dim)],
-    )
-    pres = Presentation(F, onto, relations, c, L, tuple(images))
+    pres = Presentation(F, relations, c, L, tuple(images))
     if cacheable:
         _present_cache[key] = pres
     return pres
@@ -200,7 +208,8 @@ def z_star(L: LieAlgebra, c: int, *, dim_cap: int = DIM_CAP) -> Subspace:
     pres = present(L, c, dim_cap=dim_cap)
     F = pres.ambient
     closure = subideal_bracket(pres.relations, F, c)
-    keep = [col for col in range(F.dim) if col not in closure.pivots]
+    closed_pivots = set(closure.pivots)
+    keep = [col for col in range(F.dim) if col not in closed_pivots]
     pos = {col: t for t, col in enumerate(keep)}
     cls = F.nilpotency_class
     entries = []

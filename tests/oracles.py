@@ -177,3 +177,31 @@ def refined_nonabelian_bound(n: int, m: int) -> int:
     num = (n - m) * ((n + 2 * m - 2) * (n - m - 1) + 3 * (m - 1))
     assert num % 3 == 0
     return num // 3 + 3
+
+
+# ---------------------------------------------------------------------------
+# Reference reduction modulo a subspace
+
+
+def reduce_by_every_pivot(S, vector) -> dict[int, Fraction]:
+    """Residual of ``vector`` modulo S in plain ``Fraction`` arithmetic.
+
+    One ascending pass over *every* basis row of S clears its pivot column
+    wherever the running vector has one.  It reads only S's pivots and
+    integer rows, so it is the reference that the pivot-indexed
+    ``Subspace.reduce`` is checked against.
+    """
+    items = vector.items() if isinstance(vector, dict) else enumerate(vector)
+    v = {c: Fraction(x) for c, x in items if x}
+    for p, row in zip(S.pivots, S.integer_rows()):
+        x = v.get(p)
+        if not x:
+            continue
+        factor = x / row[p]
+        for c, rv in row.items():
+            n = v.get(c, Fraction(0)) - factor * rv
+            if n:
+                v[c] = n
+            else:
+                v.pop(c, None)
+    return v

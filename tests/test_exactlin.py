@@ -13,6 +13,11 @@ from nilmult.exactlin import (
     kernel,
     rref,
 )
+from nilmult.fdlie import from_free_nilpotent, heisenberg, random_basis_change, upper_centrals
+from nilmult.freelie import free_nilpotent
+from nilmult.multiplier import present, subideal_bracket
+
+import oracles
 
 
 F = Fraction
@@ -87,6 +92,13 @@ class TestKernel:
         for row in k.rational_rows():
             dot = sum(coeff * F(1 + c) for c, coeff in row.items())
             assert dot == 0
+
+    def test_solutions_are_canonical(self):
+        # the solutions for the free columns 1 and 2 both start on column 0
+        k = kernel(Matrix.from_rows([[1, 1, 1]]))
+        assert k.pivots == (0, 1)
+        assert k.reduce([0, 1, -1]) == {}
+        assert k == span([1, -1, 0], [1, 0, -1], dim=3)
 
 
 class TestSumIntersect:
@@ -201,6 +213,44 @@ class TestReduce:
         with pytest.raises(ValueError):
             u.reduce({5: F(1)})
 
+    def test_residual_is_rational(self):
+        u = span([2, 1, 0], [0, 3, 1], dim=3)
+        r = u.reduce({0: 1, 2: 1})
+        assert r and all(type(x) is Fraction for x in r.values())
+
+
+_small_fraction = st.builds(
+    Fraction, st.integers(min_value=-4, max_value=4), st.sampled_from([1, 1, 2, 3, 5])
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_reduce_matches_reference(data):
+    dim = data.draw(st.integers(min_value=1, max_value=10))
+    vec = st.lists(_small_fraction, min_size=dim, max_size=dim)
+    S = Subspace(dim, data.draw(st.lists(vec, max_size=6)))
+    rows = list(S.rational_rows())
+    if data.draw(st.booleans()) and rows:
+        # a member: a random rational combination of the basis
+        coeffs = data.draw(st.lists(_small_fraction, min_size=len(rows), max_size=len(rows)))
+        v = {}
+        for k, row in zip(coeffs, rows):
+            for c, x in row.items():
+                v[c] = v.get(c, 0) + k * x
+        v = {c: x for c, x in v.items() if x}
+        member = True
+    else:
+        v = dict(enumerate(data.draw(vec)))
+        member = None
+    got = S.reduce(v)
+    assert got == oracles.reduce_by_every_pivot(S, v)
+    if member:
+        assert got == {}
+    assert not set(got) & set(S.pivots)
+    diff = {c: v.get(c, 0) - got.get(c, 0) for c in set(v) | set(got)}
+    assert Subspace(dim, list(S.integer_rows()) + [diff]).rank == S.rank
+
 
 class TestSubspaceBasics:
     def test_canonical_equality(self):
@@ -216,6 +266,9 @@ class TestSubspaceBasics:
             col = basis.column(p)
             assert col[i] == 1
             assert all(x == 0 for j, x in enumerate(col) if j != i)
+        # every trusted producer must hand over canonical rows as well
+        for name, S in _trusted_subspaces():
+            _assert_canonical(name, S)
 
     def test_intersect_suffix_matches_generic_intersection(self):
         rng = random.Random(3)
@@ -236,6 +289,44 @@ class TestSubspaceBasics:
         assert Subspace.full(3).rank == 3
         assert Subspace.zero(3).rank == 0
         assert Subspace.full(0).rank == 0
+
+
+def _assert_canonical(name, S):
+    rows = S.integer_rows()
+    pivots = S.pivots
+    assert len(set(pivots)) == len(pivots) == S.rank, name
+    for row, p in zip(rows, pivots):
+        assert p == min(row), name
+        assert not any(q in row for q in pivots if q != p), name
+    assert Subspace(S.ambient_dim, rows) == S, name
+
+
+def _trusted_subspaces():
+    """Subspaces built by every producer that skips re-canonicalisation."""
+    rng = random.Random(5)
+    h2 = random_basis_change(heisenberg(2), rng)
+    n24 = random_basis_change(from_free_nilpotent(free_nilpotent(2, 4)), rng)
+    yield "kernel", kernel(Matrix.from_rows([[1, 1, 1]]))
+    yield "kernel 2x4", kernel(Matrix.from_rows([[1, 2, 0, 3], [0, 1, 1, 1]]))
+    for L in (h2, n24):
+        for t, Z in enumerate(upper_centrals(L.dim, L.entries())):
+            yield f"upper_centrals {L.name} Z{t + 1}", Z
+    pres = present(heisenberg(3), 2)
+    yield "present H(3) relations", pres.relations
+    pres_h2 = present(h2, 2)
+    yield "present H(2) random basis relations", pres_h2.relations
+    F = pres.ambient
+    for depth in (1, 2):
+        yield f"subideal_bracket depth {depth}", subideal_bracket(pres.relations, F, depth)
+    numerator = pres.relations.intersect_suffix(F.stratum_starts[3])
+    yield "intersect_suffix", numerator
+    yield "intersect", pres_h2.relations.intersect(pres_h2.ambient.gamma(2))
+    for _ in range(10):
+        dim = rng.randrange(2, 8)
+        u = span(*[[rng.randint(-3, 3) for _ in range(dim)] for _ in range(3)], dim=dim)
+        w = span(*[[rng.randint(-3, 3) for _ in range(dim)] for _ in range(4)], dim=dim)
+        yield "intersect random", u.intersect(w)
+        yield "intersect_suffix random", u.intersect_suffix(rng.randrange(dim + 1))
 
 
 class TestMatrix:

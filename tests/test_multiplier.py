@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from nilmult import fdlie
-from nilmult.exactlin import Subspace, rref
+from nilmult import fdlie, multiplier
+from nilmult.exactlin import Subspace
 from nilmult.fdlie import LieAlgebra, NotNilpotentError, abelian, direct_sum, heisenberg, series
-from nilmult.freelie import free_nilpotent, witt
+from nilmult.freelie import DIM_CAP, free_nilpotent, witt
 from nilmult.multiplier import (
     BoundReport,
+    Presentation,
+    PresentationError,
     abelian_m2,
     bound_report,
     derived_dim_one_m2,
@@ -64,8 +66,8 @@ class TestPresent:
     def test_onto_map_is_surjective(self, corpus):
         for L in corpus:
             pres = present(L, 1)
-            _, rank = rref(pres.onto_map)
-            assert rank == L.dim
+            assert len(pres.images) == pres.ambient.dim
+            assert Subspace(L.dim, pres.images) == Subspace.full(L.dim)
 
     def test_relations_contain_deep_stratum(self, corpus):
         for L in corpus:
@@ -103,6 +105,25 @@ class TestPresent:
         pres = present(zero, 2)
         assert pres.ambient.dim == 0
         assert pres.relations.rank == 0
+
+    def test_images_vanish_beyond_the_class(self, corpus):
+        for L in corpus:
+            k = series(L).nilpotency_class
+            pres = present(L, 2)
+            for w in pres.ambient.basis:
+                assert bool(pres.images[w.key]) <= (w.length <= k), (L.name, str(w))
+
+    def test_wrong_class_raises_presentation_error(self, h1, monkeypatch):
+        # a class-1 report for H(1) makes [x, y] a length-(k+1) word whose
+        # image must vanish; it does not, and that is an error, not an assert
+        monkeypatch.setattr(multiplier, "series", lambda L: series(abelian(3)))
+        with pytest.raises(PresentationError, match="length-2"):
+            present(h1, 1, dim_cap=DIM_CAP + 1)
+
+    def test_rank_nullity_is_enforced(self, h1):
+        pres = present(h1, 1)
+        with pytest.raises(PresentationError, match="rank-nullity"):
+            Presentation(pres.ambient, Subspace.zero(pres.ambient.dim), 1, h1, pres.images)
 
 
 class TestSubidealBracket:
