@@ -24,6 +24,7 @@ from .fdlie import (
 from .freelie import (
     DimensionCapError,
     FreeNilpotentAlgebra,
+    HallTableError,
     HallWord,
     free_nilpotent,
     hall_basis,

@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .exactlin import Subspace, _int_row, _kernel_rows, _Spanner, _as_fraction
@@ -253,11 +254,21 @@ def from_free_nilpotent(F: FreeNilpotentAlgebra, name: str | None = None, *, che
 
 @dataclass(frozen=True)
 class SeriesReport:
-    """Lower and upper central series, each listed until stabilisation."""
+    """Lower and upper central series, each listed until stabilisation.
+
+    The upper series is computed on first access: most callers read only
+    the lower one.
+    """
 
     lower: tuple[Subspace, ...]  # γ₁, γ₂, … (last term repeated no further)
-    upper: tuple[Subspace, ...]  # Z₁, Z₂, …
     nilpotency_class: int | None
+    algebra: LieAlgebra = field(repr=False, compare=False)
+
+    @cached_property
+    def upper(self) -> tuple[Subspace, ...]:
+        """Z₁, Z₂, … until stabilisation."""
+        L = self.algebra
+        return tuple(upper_centrals(L.dim, L.entries(), None)) if L.dim else ()
 
     @property
     def is_nilpotent(self) -> bool:
@@ -363,8 +374,7 @@ def series(L: LieAlgebra) -> SeriesReport:
     nil_class = None
     if lower[-1].rank == 0:
         nil_class = len(lower) - 1
-    upper = upper_centrals(L.dim, L.entries(), None) if L.dim else []
-    return SeriesReport(tuple(lower), tuple(upper), nil_class)
+    return SeriesReport(tuple(lower), nil_class, L)
 
 
 def quotient(L: LieAlgebra, ideal: Subspace) -> LieAlgebra:
@@ -418,9 +428,9 @@ def recognize_derived_dim_one(L: LieAlgebra) -> tuple[int, int]:
                 row[j] = combo.get(pivot, Fraction(0)) / w[pivot]
         if row:
             sp.insert(_int_row(row))
-    rank = sp.rank
-    assert rank % 2 == 0, "alternating form over Q has even rank"
-    m = rank // 2
+    m, odd = divmod(sp.rank, 2)
+    if odd:
+        raise ArithmeticError(f"alternating form of rank {sp.rank}: over Q the rank is even")
     return m, L.dim - 2 * m - 1
 
 

@@ -24,6 +24,11 @@ class DimensionCapError(ValueError):
     """Requested free nilpotent algebra exceeds the configured dimension cap."""
 
 
+class HallTableError(ArithmeticError):
+    """The structure-table build read a product it had not computed yet;
+    seeing it means a bug in the build order, not bad input."""
+
+
 def _divisors(n: int) -> Iterator[int]:
     d = 1
     while d * d <= n:
@@ -55,9 +60,10 @@ def witt(d: int, n: int) -> int:
     """Number of Hall (equivalently Lyndon) words of length n on d letters."""
     if d < 0 or n < 1:
         raise ValueError("witt requires d >= 0 and n >= 1")
-    total = sum(mobius(m) * d ** (n // m) for m in _divisors(n))
-    assert total % n == 0
-    return total // n
+    total, rest = divmod(sum(mobius(m) * d ** (n // m) for m in _divisors(n)), n)
+    if rest:
+        raise ArithmeticError(f"necklace sum for witt({d}, {n}) is not divisible by {n}")
+    return total
 
 
 class HallWord:
@@ -145,7 +151,7 @@ class FreeNilpotentAlgebra:
     """
 
     __slots__ = ("rank", "nilpotency_class", "labels", "basis", "dim",
-                 "stratum_starts", "_table", "_pair_index")
+                 "stratum_starts", "_table")
 
     def __init__(self, rank: int, nilpotency_class: int, labels: Sequence[str] | None = None):
         basis = hall_basis(rank, nilpotency_class, labels)
@@ -162,66 +168,53 @@ class FreeNilpotentAlgebra:
         for w in range(1, nilpotency_class + 2):
             starts[w] = max(starts[w], starts[w - 1])
         self.stratum_starts = tuple(starts)
-        self._pair_index = {
-            (w.left.key, w.right.key): w.key for w in basis if w.gen is None
-        }
         self._table = self._build_table()
 
     def _build_table(self) -> dict[tuple[int, int], dict[int, int]]:
-        cls = self.nilpotency_class
+        """[e_i, e_j] for every pair of basis words within the class.
+
+        Pairs u > v are visited by total weight, then u, then v.  A Hall
+        pair is a basis word; otherwise u = [a, b] with v < b, and Jacobi
+        gives [u, v] = [[a, v], b] + [a, [b, v]], whose products were all
+        visited earlier.  Reading a product that was not raises
+        HallTableError; it is never taken as zero.
+        """
         basis = self.basis
-        pair_index = self._pair_index
-        memo: dict[tuple[int, int], dict[int, int]] = {}
-        # Jacobi rewriting recurses along chains of increasing right factors;
-        # at rank 8 those chains run a few hundred frames deep.
-        import sys
+        starts = self.stratum_starts
+        pair_index = {(w.left.key, w.right.key): w.key for w in basis if w.gen is None}
+        table: dict[tuple[int, int], dict[int, int]] = {}
 
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, 100_000))
+        def product(x: int, y: int):
+            if x == y:
+                return ()
+            combo = table.get((x, y))
+            if combo is None:
+                raise HallTableError(
+                    f"[{basis[x]}, {basis[y]}] was read before it was computed"
+                )
+            return combo.items()
 
-        def bracket(i: int, j: int) -> dict[int, int]:
-            # i > j assumed here
-            got = memo.get((i, j))
-            if got is not None:
-                return got
-            u, v = basis[i], basis[j]
-            if u.length + v.length > cls:
-                out: dict[int, int] = {}
-            elif u.gen is not None or v.key >= u.right.key:
-                out = {pair_index[(i, j)]: 1}
-            else:
-                # [[a,b],v] with v < b: Jacobi gives [[a,v],b] + [a,[b,v]]
-                a, b = u.left.key, u.right.key
-                out = {}
-                for k, cv in signed(a, v.key).items():
-                    for m, cm in signed(k, b).items():
-                        out[m] = out.get(m, 0) + cv * cm
-                for k, cv in signed(b, v.key).items():
-                    for m, cm in signed(a, k).items():
-                        out[m] = out.get(m, 0) + cv * cm
-                out = {m: c for m, c in out.items() if c}
-            memo[(i, j)] = out
-            return out
-
-        def signed(i: int, j: int) -> dict[int, int]:
-            if i == j:
-                return {}
-            if i > j:
-                return bracket(i, j)
-            return {k: -c for k, c in bracket(j, i).items()}
-
-        try:
-            table = {}
-            for i in range(self.dim):
-                for j in range(i):
-                    if basis[i].length + basis[j].length <= cls:
-                        combo = bracket(i, j)
-                        if combo:
-                            table[(i, j)] = combo
-                            table[(j, i)] = {k: -c for k, c in combo.items()}
-        finally:
-            sys.setrecursionlimit(old_limit)
-        return table
+        for total in range(2, self.nilpotency_class + 1):
+            for wu in range((total + 1) // 2, total):
+                wv = total - wu
+                for i in range(starts[wu], starts[wu + 1]):
+                    u = basis[i]
+                    for j in range(starts[wv], min(i, starts[wv + 1])):
+                        if u.gen is not None or j >= u.right.key:
+                            out = {pair_index[(i, j)]: 1}
+                        else:
+                            a, b = u.left.key, u.right.key
+                            out = {}
+                            for k, ck in product(a, j):
+                                for m, cm in product(k, b):
+                                    out[m] = out.get(m, 0) + ck * cm
+                            for k, ck in product(b, j):
+                                for m, cm in product(a, k):
+                                    out[m] = out.get(m, 0) + ck * cm
+                            out = {m: c for m, c in out.items() if c}
+                        table[(i, j)] = out
+                        table[(j, i)] = {m: -c for m, c in out.items()}
+        return {pair: combo for pair, combo in table.items() if combo}
 
     def weight(self, index: int) -> int:
         return self.basis[index].length

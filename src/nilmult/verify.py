@@ -341,7 +341,9 @@ def run_cases(max_abelian: int = 6, max_heisenberg: int = 3) -> list[VerifyCase]
 
     cases.sort(key=lambda case: case.id)
     ids = [case.id for case in cases]
-    assert len(ids) == len(set(ids)), "case ids must be unique"
+    if len(ids) != len(set(ids)):
+        repeated = sorted({i for i in ids if ids.count(i) > 1})
+        raise RuntimeError(f"case ids must be unique; repeated: {repeated}")
     return cases
 
 

@@ -11,6 +11,10 @@ reaches the same numbers by a structurally different route:
   every basis pair certifies the whole structure-constant table.
 * the closed forms at the bottom are hand-derived dimension formulas,
   kept as one-liners so a reviewer can re-derive them by hand.
+* ``jacobi_table_by_recursion`` is the memoised recursive Jacobi rewriting
+  that the weight-ordered table build replaced, kept as its reference.
+* ``reduce_by_every_pivot`` is the walk-every-pivot reduction that the
+  pivot-indexed ``Subspace.reduce`` replaced, kept as its reference.
 """
 
 from __future__ import annotations
@@ -205,3 +209,63 @@ def reduce_by_every_pivot(S, vector) -> dict[int, Fraction]:
             else:
                 v.pop(c, None)
     return v
+
+
+# ---------------------------------------------------------------------------
+# Reference structure table of a free nilpotent algebra
+
+
+def jacobi_table_by_recursion(F) -> dict[tuple[int, int], dict[int, int]]:
+    """[e_i, e_j] for every basis pair of F by memoised Jacobi recursion.
+
+    It scans every pair i > j and rewrites [[a,b],v] with v < b as
+    [[a,v],b] + [a,[b,v]], recursing into whatever products that needs,
+    so it assumes nothing about the order in which products become
+    available.  The chains stay shallow (under 120 frames up to rank 10,
+    class 4), so the default recursion limit suffices.
+    """
+    cls = F.nilpotency_class
+    basis = F.basis
+    pair_index = {(w.left.key, w.right.key): w.key for w in basis if w.gen is None}
+    memo: dict[tuple[int, int], dict[int, int]] = {}
+
+    def bracket(i: int, j: int) -> dict[int, int]:
+        # i > j assumed here
+        got = memo.get((i, j))
+        if got is not None:
+            return got
+        u, v = basis[i], basis[j]
+        if u.length + v.length > cls:
+            out: dict[int, int] = {}
+        elif u.gen is not None or v.key >= u.right.key:
+            out = {pair_index[(i, j)]: 1}
+        else:
+            # [[a,b],v] with v < b: Jacobi gives [[a,v],b] + [a,[b,v]]
+            a, b = u.left.key, u.right.key
+            out = {}
+            for k, cv in signed(a, v.key).items():
+                for m, cm in signed(k, b).items():
+                    out[m] = out.get(m, 0) + cv * cm
+            for k, cv in signed(b, v.key).items():
+                for m, cm in signed(a, k).items():
+                    out[m] = out.get(m, 0) + cv * cm
+            out = {m: c for m, c in out.items() if c}
+        memo[(i, j)] = out
+        return out
+
+    def signed(i: int, j: int) -> dict[int, int]:
+        if i == j:
+            return {}
+        if i > j:
+            return bracket(i, j)
+        return {k: -c for k, c in bracket(j, i).items()}
+
+    table = {}
+    for i in range(F.dim):
+        for j in range(i):
+            if basis[i].length + basis[j].length <= cls:
+                combo = bracket(i, j)
+                if combo:
+                    table[(i, j)] = combo
+                    table[(j, i)] = {k: -c for k, c in combo.items()}
+    return table

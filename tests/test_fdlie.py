@@ -170,6 +170,23 @@ class TestSeries:
             assert ranks[-1] == L.dim
             assert all(a < b for a, b in zip(ranks, ranks[1:]))
 
+    def test_upper_series_is_computed_when_read(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return upper_centrals(*args, **kwargs)
+
+        monkeypatch.setattr(fdlie, "upper_centrals", counted)
+        rep = series(heisenberg(2))
+        assert rep.gamma(2).rank == 1
+        assert rep.nilpotency_class == 2
+        assert calls == []
+        assert rep.z(1).rank == 1
+        assert [z.rank for z in rep.upper] == [1, 5]
+        assert rep.z(2).rank == 5
+        assert calls == [5]
+
     def test_upper_centrals_step_limit(self):
         h = heisenberg(2)
         chain = upper_centrals(h.dim, list(h.entries()), steps=1)

@@ -1,13 +1,17 @@
 """Hall bases, Witt counts, and the collected structure table of free
 nilpotent Lie algebras, cross-checked against independent oracles."""
 
+import builtins
 import random
+import sys
 
 import pytest
 
+from nilmult import freelie
 from nilmult.freelie import (
     DimensionCapError,
     FreeNilpotentAlgebra,
+    HallTableError,
     free_nilpotent,
     generator_labels,
     hall_basis,
@@ -16,7 +20,7 @@ from nilmult.freelie import (
     witt,
 )
 
-from oracles import expand_combination, expand_hall_word, lyndon_count
+from oracles import expand_combination, expand_hall_word, jacobi_table_by_recursion, lyndon_count
 
 
 class TestWitt:
@@ -175,6 +179,31 @@ class TestStructureTable:
                 direct = expansions[i].commutator(expansions[j])
                 collected = expand_combination(F.bracket_indices(i, j), F.basis, 4)
                 assert direct == collected, (i, j)
+
+
+class TestTableBuild:
+    @pytest.mark.parametrize("d, c", [(2, 6), (3, 5), (2, 8), (3, 6), (4, 5), (8, 4)])
+    def test_matches_recursive_reference(self, d, c):
+        F = FreeNilpotentAlgebra(d, c)
+        assert F._table == jacobi_table_by_recursion(F)
+
+    def test_leaves_the_recursion_limit_alone(self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError(f"sys.setrecursionlimit({limit}) called")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        assert FreeNilpotentAlgebra(8, 4).dim == 1212
+        assert FreeNilpotentAlgebra(2, 10).dim == 226
+
+    def test_out_of_order_read_raises(self, monkeypatch):
+        # visiting every range backwards reads weight-3 products while
+        # building weight 4, before they exist; that must not count as zero
+        F = FreeNilpotentAlgebra(2, 4)
+        monkeypatch.setattr(
+            freelie, "range", lambda *args: reversed(builtins.range(*args)), raising=False
+        )
+        with pytest.raises(HallTableError, match="before it was computed"):
+            F._build_table()
 
 
 class TestFreeNilpotent:

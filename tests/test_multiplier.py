@@ -2,6 +2,7 @@
 oracles they are checked against."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,7 @@ class TestPresent:
         for L in corpus:
             k = series(L).nilpotency_class
             pres = present(L, 2)
+            assert len(pres.images) == pres.ambient.dim, L.name
             for w in pres.ambient.basis:
                 assert bool(pres.images[w.key]) <= (w.length <= k), (L.name, str(w))
 
@@ -273,6 +275,41 @@ class TestZStar:
     def test_monotone_in_weight(self, corpus):
         for L in corpus:
             assert z_star(L, 2).contains_subspace(z_star(L, 1)), L.name
+
+
+class TestClosureMemo:
+    @pytest.fixture
+    def cold(self, monkeypatch):
+        """Empty result caches and closure memo, and a log of closure builds."""
+        for name in ("_present_cache", "_mult_cache", "_zstar_cache"):
+            monkeypatch.setattr(multiplier, name, {})
+        multiplier._closure.cache_clear()
+        built = []
+
+        def logged(S, ambient, depth):
+            out = subideal_bracket(S, ambient, depth)
+            built.append(out)
+            return out
+
+        monkeypatch.setattr(multiplier, "subideal_bracket", logged)
+        yield built
+        multiplier._closure.cache_clear()
+
+    def test_report_builds_each_closure_once(self, cold):
+        report(heisenberg(4), 2)
+        assert [(s.ambient_dim, s.rank) for s in cold] == [(1212, 1008), (204, 168)]
+
+    def test_memo_keeps_at_most_two_closures(self, cold):
+        rng = random.Random(20)
+        shapes = [heisenberg(1), direct_sum(heisenberg(1), abelian(1)), abelian(3)]
+        for t in range(20):
+            report(fdlie.random_basis_change(shapes[t % 3], rng, name=f"L{t}"), 2)
+        assert len(cold) == 40
+        # one reference from the log and one from getrefcount's argument;
+        # anything more is a holder outside this test
+        held = [t for t in range(len(cold)) if sys.getrefcount(cold[t]) > 2]
+        assert len(held) <= 2
+        assert multiplier._closure.cache_info().currsize == 2
 
 
 class TestCapability:
