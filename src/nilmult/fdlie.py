@@ -1,22 +1,25 @@
 """Finite-dimensional Lie algebras over Q via structure constants.
 
-An algebra is stored as its bracket table on an ordered basis, with entries
-kept only for index pairs i < j (antisymmetry fills in the rest).  All user
-facing ingestion paths check the Jacobi identity; constructors whose tables
-are correct by construction skip the check.
+An algebra is stored as its bracket table on an ordered basis: for index
+pairs i < j only, the integer numerators of [e_i, e_j] over one common
+denominator ``den``.  Internal brackets run on den·[·,·], which has the same
+central series, ideals and kernels; the public views divide by ``den``.
+User facing ingestion paths check the Jacobi identity; constructors whose
+tables are correct by construction skip the check.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
 
-from .exactlin import Subspace, _int_row, _kernel_rows, _Spanner, _as_fraction
+from .exactlin import IntRow, Subspace, _kernel_rows, _Spanner, _as_fraction
 from .freelie import FreeNilpotentAlgebra
 
 Combo = dict[int, Fraction]
@@ -62,9 +65,10 @@ def _clean_combo(combo: Mapping[int, object], dim: int, where: str) -> Combo:
 
 
 class LieAlgebra:
-    """Lie algebra on a finite ordered basis with exact rational brackets."""
+    """Lie algebra on a finite ordered basis with exact rational brackets,
+    held as integer numerators over the common denominator ``den``."""
 
-    __slots__ = ("name", "dim", "basis_labels", "_table", "_fingerprint")
+    __slots__ = ("name", "dim", "basis_labels", "den", "_num", "_fingerprint")
 
     def __init__(
         self,
@@ -86,80 +90,76 @@ class LieAlgebra:
             cleaned = _clean_combo(combo, self.dim, f"bracket ({i},{j})")
             if cleaned:
                 table[(i, j)] = cleaned
-        self._table = table
+        den = math.lcm(*(f.denominator for combo in table.values() for f in combo.values()))
+        self.den = den
+        self._num: dict[tuple[int, int], IntRow] = {
+            pair: {k: f.numerator * (den // f.denominator) for k, f in table[pair].items()}
+            for pair in sorted(table)
+        }
         self._fingerprint = None
         if check:
             self._check_jacobi()
 
-    _EMPTY: Combo = {}
-
-    def bracket_basis(self, i: int, j: int) -> Combo:
-        """[e_i, e_j]; the i < j result is shared, do not mutate."""
-        if i == j:
-            return {}
-        if i < j:
-            return self._table.get((i, j), self._EMPTY)
-        combo = self._table.get((j, i))
-        return {k: -c for k, c in combo.items()} if combo else {}
-
-    def bracket_vectors(self, x: Mapping[int, object], y: Mapping[int, object]) -> Combo:
-        out: Combo = {}
+    def _ibracket(self, x: Mapping[int, int], y: Mapping[int, int]) -> IntRow:
+        """den·[x, y] on the integer table (integer x, y give integers)."""
+        out: IntRow = {}
+        num = self._num
         for i, xi in x.items():
             for j, yj in y.items():
-                combo = self.bracket_basis(i, j) if i < j else None
-                if i > j:
-                    combo = self.bracket_basis(j, i)
-                    s = -xi * yj
-                elif i == j:
-                    continue
+                if i < j:
+                    combo, s = num.get((i, j)), xi * yj
+                elif i > j:
+                    combo, s = num.get((j, i)), -xi * yj
                 else:
-                    s = xi * yj
-                if not combo:
                     continue
-                for k, ck in combo.items():
-                    n = out.get(k, 0) + s * ck
-                    if n:
-                        out[k] = n
-                    else:
-                        del out[k]
+                if combo:
+                    for k, ck in combo.items():
+                        n = out.get(k, 0) + s * ck
+                        if n:
+                            out[k] = n
+                        else:
+                            del out[k]
         return out
 
-    def entries(self):
-        """Iterate (i, j, combo) over stored pairs, i < j."""
-        for (i, j), combo in self._table.items():
-            yield i, j, combo
+    def bracket_vectors(self, x: Mapping[int, object], y: Mapping[int, object]) -> Combo:
+        """[x, y] for sparse rational vectors."""
+        return {k: Fraction(v, self.den) for k, v in self._ibracket(x, y).items()}
 
-    def _jacobi_defect(self, i: int, j: int, k: int) -> Combo:
-        acc: Combo = {}
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, cm in self.bracket_basis(a, b).items():
-                for t, ct in self.bracket_basis(m, c).items():
-                    n = acc.get(t, 0) + cm * ct
-                    if n:
-                        acc[t] = n
-                    else:
-                        del acc[t]
-        return acc
+    def bracket_basis(self, i: int, j: int) -> Combo:
+        """[e_i, e_j] as a fresh exact combination."""
+        return self.bracket_vectors({i: 1}, {j: 1})
+
+    def entries(self):
+        """Iterate (i, j, combo) over stored pairs, i < j, in sorted order."""
+        for (i, j), combo in self._num.items():
+            yield i, j, {k: Fraction(v, self.den) for k, v in combo.items()}
 
     def _check_jacobi(self):
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                for k in range(j + 1, self.dim):
-                    defect = self._jacobi_defect(i, j, k)
-                    if defect:
-                        raise ValidationError(
-                            f"Jacobi identity fails on basis triple ({i + 1},{j + 1},{k + 1})",
-                            (i + 1, j + 1, k + 1),
-                        )
+        # den²·defect of (i, j, k) vanishes unless one of its pairs is stored;
+        # sorted, the first failing triple is the first of the full scan
+        n = self.dim
+        triples = set()
+        for a, b in self._num:
+            triples.update(
+                (t, a, b) if t < a else (a, t, b) if t < b else (a, b, t)
+                for t in range(n) if t != a and t != b
+            )
+        for i, j, k in sorted(triples):
+            acc: IntRow = {}
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for t, v in self._ibracket(self._ibracket({a: 1}, {b: 1}), {c: 1}).items():
+                    acc[t] = acc.get(t, 0) + v
+            if any(acc.values()):
+                raise ValidationError(
+                    f"Jacobi identity fails on basis triple ({i + 1},{j + 1},{k + 1})",
+                    (i + 1, j + 1, k + 1),
+                )
 
     @property
     def fingerprint(self):
         """Structural identity of the bracket table (name and labels excluded)."""
         if self._fingerprint is None:
-            items = tuple(
-                (i, j, tuple(sorted(combo.items())))
-                for (i, j), combo in sorted(self._table.items())
-            )
+            items = tuple((i, j, tuple(sorted(combo.items()))) for i, j, combo in self.entries())
             self._fingerprint = (self.dim, items)
         return self._fingerprint
 
@@ -194,14 +194,7 @@ def validate(name: str, basis_labels: Sequence[str], table) -> LieAlgebra:
                 f"antisymmetry fails at ({i + 1},{i + 1}): [e,e] must vanish", (i + 1, i + 1)
             )
         for j in range(i + 1, n):
-            total = dict(grid[i][j])
-            for k, v in grid[j][i].items():
-                s = total.get(k, 0) + v
-                if s:
-                    total[k] = s
-                else:
-                    del total[k]
-            if total:
+            if grid[j][i] != {k: -v for k, v in grid[i][j].items()}:
                 raise ValidationError(f"antisymmetry fails at ({i + 1},{j + 1})", (i + 1, j + 1))
             if grid[i][j]:
                 brackets[(i, j)] = grid[i][j]
@@ -231,7 +224,7 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
     labels = [f"{lbl}" for lbl in a.basis_labels] + [f"{lbl}'" for lbl in b.basis_labels]
     brackets: dict[tuple[int, int], Combo] = {}
     for i, j, combo in a.entries():
-        brackets[(i, j)] = dict(combo)
+        brackets[(i, j)] = combo
     off = a.dim
     for i, j, combo in b.entries():
         brackets[(i + off, j + off)] = {k + off: v for k, v in combo.items()}
@@ -268,7 +261,8 @@ class SeriesReport:
     def upper(self) -> tuple[Subspace, ...]:
         """Z₁, Z₂, … until stabilisation."""
         L = self.algebra
-        return tuple(upper_centrals(L.dim, L.entries(), None)) if L.dim else ()
+        entries = ((i, j, combo) for (i, j), combo in L._num.items())
+        return tuple(upper_centrals(L.dim, entries, None)) if L.dim else ()
 
     @property
     def is_nilpotent(self) -> bool:
@@ -294,9 +288,7 @@ def _lower_centrals(L: LieAlgebra) -> list[Subspace]:
         sp = _Spanner()
         for row in chain[-1].integer_rows():
             for j in range(L.dim):
-                prod = L.bracket_vectors(row, {j: 1})
-                if prod:
-                    sp.insert(_int_row(prod))
+                sp.insert(L._ibracket(row, {j: 1}))
         nxt = Subspace.from_spanner(L.dim, sp)
         if nxt.rank == chain[-1].rank:
             chain.append(nxt)
@@ -313,12 +305,15 @@ def upper_centrals(
     """Successive upper central terms Z₁, Z₂, … of an n-dim bracket table.
 
     ``entries`` lists (i, j, [e_i,e_j]) with each pair in one orientation
-    only.  Terms are produced as kernels of growing constraint matrices:
-    Z_{t+1} = {x : [x, e_j] ∈ Z_t for all j}.  With ``steps=None`` the chain
-    runs until it stabilises, otherwise exactly ``steps`` terms are returned.
+    only, scaled once to integers.  Terms are produced as kernels of growing
+    constraint matrices: Z_{t+1} = {x : [x, e_j] ∈ Z_t for all j}.  With
+    ``steps=None`` the chain runs until it stabilises, otherwise exactly
+    ``steps`` terms are returned.
     """
-    # ad-rows: adrows[(k, j)][i] = coefficient of e_k in [e_i, e_j]
-    adrows: dict[tuple[int, int], dict[int, Fraction]] = {}
+    entries = list(entries)
+    den = math.lcm(*(c.denominator for _, _, combo in entries for c in combo.values()))
+    # ad-rows: adrows[(k, j)][i] = den · coefficient of e_k in [e_i, e_j]
+    adrows: dict[tuple[int, int], IntRow] = {}
 
     def add(k, j, i, c):
         row = adrows.setdefault((k, j), {})
@@ -330,13 +325,14 @@ def upper_centrals(
 
     for i, j, combo in entries:
         for k, c in combo.items():
+            c = c.numerator * (den // c.denominator)
             add(k, j, i, c)
             add(k, i, j, -c)
 
     chain: list[Subspace] = []
     sp = _Spanner()
     for row in adrows.values():
-        sp.insert(_int_row(row))
+        sp.insert(row)
     while True:
         constraints = sp.canonical()
         Z = Subspace._from_rows(n, _kernel_rows(n, constraints))
@@ -350,7 +346,7 @@ def upper_centrals(
         sp = _Spanner()
         for m in constraints:
             for j in range(n):
-                row: dict[int, Fraction] = {}
+                row: IntRow = {}
                 for k, mk in m.items():
                     ad = adrows.get((k, j))
                     if not ad:
@@ -361,8 +357,7 @@ def upper_centrals(
                             row[i] = s
                         else:
                             del row[i]
-                if row:
-                    sp.insert(_int_row(row))
+                sp.insert(row)
     while steps is not None and len(chain) < steps:
         chain.append(chain[-1])
     return chain
@@ -383,9 +378,7 @@ def quotient(L: LieAlgebra, ideal: Subspace) -> LieAlgebra:
         raise ValueError(f"ideal lives in Q^{ideal.ambient_dim}, algebra has dim {L.dim}")
     for row in ideal.integer_rows():
         for j in range(L.dim):
-            prod = L.bracket_vectors(row, {j: 1})
-            residual = ideal.reduce(prod)
-            if residual:
+            if ideal.reduce(L._ibracket(row, {j: 1})):
                 raise NonIdealError(
                     "subspace is not an ideal: bracket with a basis vector leaves it",
                     (dict(row), j),
@@ -408,7 +401,7 @@ def recognize_derived_dim_one(L: LieAlgebra) -> tuple[int, int]:
 
     The derived subalgebra is central here, so [·,·] induces an alternating
     form on L/Z-direction with matrix c_{ij} given by [e_i,e_j] = c_{ij} w;
-    its rank is 2m and r = dim L − 2m − 1.
+    its rank is 2m and r = dim L − 2m − 1; read c_{ij}·den·w[p] off w's pivot p.
     """
     rep = series(L)
     if not rep.is_nilpotent:
@@ -416,18 +409,15 @@ def recognize_derived_dim_one(L: LieAlgebra) -> tuple[int, int]:
     derived = rep.gamma(2)
     if derived.rank != 1:
         raise ValueError(f"dim L^2 = {derived.rank}, need exactly 1")
-    w = next(derived.rational_rows())
-    pivot = min(w)
+    pivot = derived.pivots[0]
     sp = _Spanner()
     for i in range(L.dim):
         row = {}
         for j in range(L.dim):
-            combo = L.bracket_basis(i, j)
-            if combo:
-                # combo must be a multiple of w; read the multiple off the pivot
-                row[j] = combo.get(pivot, Fraction(0)) / w[pivot]
-        if row:
-            sp.insert(_int_row(row))
+            v = L._ibracket({i: 1}, {j: 1}).get(pivot)
+            if v:
+                row[j] = v
+        sp.insert(row)
     m, odd = divmod(sp.rank, 2)
     if odd:
         raise ArithmeticError(f"alternating form of rank {sp.rank}: over Q the rank is even")
@@ -438,34 +428,24 @@ def random_basis_change(L: LieAlgebra, rng: random.Random, name: str | None = No
     """Rewrite L's table in a random invertible basis (for invariance tests)."""
     n = L.dim
     while True:
-        P = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+        P = [{j: x for j in range(n) if (x := rng.randint(-3, 3))} for _ in range(n)]
+        # rows [P | I] reduce to a·[I | P⁻¹] exactly when P is invertible
         sp = _Spanner()
-        if all(sp.insert(_int_row(row)) for row in P):
+        for i, row in enumerate(P):
+            sp.insert({**row, n + i: 1})
+        inv = sp.canonical()
+        if all(min(r) < n for r in inv):
             break
-    # invert P by solving P X = I with exact elimination
-    aug = [list(P[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [v / scale for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    Pinv = [row[n:] for row in aug]
-    new_basis = [{j: P[i][j] for j in range(n) if P[i][j]} for i in range(n)]
+    a = math.lcm(*(r[min(r)] for r in inv))
+    Q = [{c - n: v * (a // r[min(r)]) for c, v in r.items() if c >= n} for r in inv]  # a·P⁻¹
     brackets = {}
     for i in range(n):
         for j in range(i + 1, n):
-            prod = L.bracket_vectors(new_basis[i], new_basis[j])
-            combo = {}
-            for k in range(n):
-                v = sum(prod.get(t, 0) * Pinv[t][k] for t in prod)
-                if v:
-                    combo[k] = v
-            if combo:
-                brackets[(i, j)] = combo
+            combo: IntRow = {}
+            for t, v in L._ibracket(P[i], P[j]).items():
+                for k, q in Q[t].items():
+                    combo[k] = combo.get(k, 0) + v * q
+            brackets[(i, j)] = {k: Fraction(v, a * L.den) for k, v in combo.items()}
     return LieAlgebra(name or f"{L.name}~", [f"b{i + 1}" for i in range(n)], brackets, check=False)
 
 
@@ -474,16 +454,11 @@ def random_basis_change(L: LieAlgebra, rng: random.Random, name: str | None = No
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 
-def _coeff_to_str(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
-
 def to_json_dict(L: LieAlgebra) -> dict:
-    brackets = []
-    for (i, j) in sorted(L._table):
-        combo = L._table[(i, j)]
-        value = [[k, _coeff_to_str(combo[k])] for k in sorted(combo)]
-        brackets.append({"i": i, "j": j, "value": value})
+    brackets = [
+        {"i": i, "j": j, "value": [[k, str(combo[k])] for k in sorted(combo)]}
+        for i, j, combo in L.entries()
+    ]
     return {
         "name": L.name,
         "dim": L.dim,
@@ -571,7 +546,7 @@ def from_json_dict(obj) -> LieAlgebra:
 def loads(text: str) -> LieAlgebra:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
         raise ValidationError(f"invalid JSON: {e}") from e
     return from_json_dict(obj)
 

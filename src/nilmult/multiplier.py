@@ -10,14 +10,15 @@ the truncation changes none of the quotients involved.
 
 from __future__ import annotations
 
+import math
 import random
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, Sequence
 
-from .exactlin import Subspace, _int_row, _kernel_rows, _Spanner
+from .exactlin import IntRow, Subspace, _int_row, _kernel_rows, _primitive, _Spanner
 from .fdlie import LieAlgebra, NotNilpotentError, series, upper_centrals
 from .freelie import DIM_CAP, FreeNilpotentAlgebra, free_nilpotent, span_bracket_rows
 
@@ -100,9 +101,7 @@ def present(
     d = L.dim - derived.rank
 
     if lift is None:
-        lift_vectors = [
-            {col: Fraction(1)} for col in range(L.dim) if col not in derived.pivots
-        ]
+        lam, gens = 1, [{col: 1} for col in range(L.dim) if col not in derived.pivots]
     else:
         lift_vectors = []
         sp = _Spanner()
@@ -114,29 +113,37 @@ def present(
             lift_vectors.append(vec)
         if len(lift_vectors) != d:
             raise ValueError(f"lift must have exactly {d} vectors, got {len(lift_vectors)}")
+        lam = math.lcm(*(x.denominator for v in lift_vectors for x in v.values()))
+        gens = [{i: x.numerator * (lam // x.denominator) for i, x in v.items()} for v in lift_vectors]
 
     F = free_nilpotent(d, k + c, dim_cap)
     # brackets of length > k die in an algebra of class k; series(L) has
     # shown that, so only length k + 1 is computed, as a check
     live = F.stratum_starts[k + 2]
-    images: list[dict[int, Fraction]] = []
-    for w in F.basis[:live]:
-        if w.is_generator:
-            img = dict(lift_vectors[w.gen])
-        else:
-            img = L.bracket_vectors(images[w.left.key], images[w.right.key])
-            if img and w.length > k:
-                raise PresentationError(
-                    f"{L.name}: the image of the length-{w.length} word {w} is non-zero "
-                    f"in an algebra of class {k}"
-                )
-        images.append(img)
+    # ints[w]: λ^l·den^(l-1) times the image of w, of length l, where λ is
+    # the lift's common denominator; rows: relation rows times λ^k·den^(k-1)
+    unit = lam * L.den
+    ints: list[IntRow] = []
+    rows: list[IntRow] = [{} for _ in range(L.dim)]
+    for col, w in enumerate(F.basis[:live]):
+        img = gens[w.gen] if w.is_generator else L._ibracket(ints[w.left.key], ints[w.right.key])
+        if img and w.length > k:
+            raise PresentationError(
+                f"{L.name}: the image of the length-{w.length} word {w} is non-zero "
+                f"in an algebra of class {k}"
+            )
+        ints.append(img)
+        for r, v in img.items():
+            rows[r][col] = v * unit ** (k - w.length)
+    images = [
+        {r: Fraction(v, unit ** w.length // L.den) for r, v in img.items()}
+        for w, img in zip(F.basis, ints)
+    ]
     images.extend([_ZERO_IMAGE] * (F.dim - live))
 
     sp = _Spanner()
-    for r in range(L.dim):
-        row = {col: img[r] for col, img in enumerate(images[:live]) if r in img}
-        sp.insert(_int_row(row))
+    for row in rows:
+        sp.insert(_primitive(row))
     if sp.rank != L.dim:
         raise ValueError("lift images fail to generate L")  # cannot happen for a valid lift
     relations = Subspace._from_rows(F.dim, _kernel_rows(F.dim, sp.canonical()))

@@ -15,6 +15,12 @@ reaches the same numbers by a structurally different route:
   that the weight-ordered table build replaced, kept as its reference.
 * ``reduce_by_every_pivot`` is the walk-every-pivot reduction that the
   pivot-indexed ``Subspace.reduce`` replaced, kept as its reference.
+* the ``Fraction``-table references at the bottom are the rational code
+  that the integer structure constants of ``LieAlgebra`` replaced: the full
+  Jacobi scan, the Gauss-Jordan basis change, the generator images of
+  ``present`` and the ``upper_centrals`` loop.  They read an algebra only
+  through ``bracket_basis``; the last two still solve with nilmult's
+  elimination engine, which has tests of its own.
 """
 
 from __future__ import annotations
@@ -269,3 +275,157 @@ def jacobi_table_by_recursion(F) -> dict[tuple[int, int], dict[int, int]]:
                     table[(i, j)] = combo
                     table[(j, i)] = {k: -c for k, c in combo.items()}
     return table
+
+
+# ---------------------------------------------------------------------------
+# Rational references for the integer structure-constant table
+
+
+def fraction_table(L) -> dict[tuple[int, int], dict[int, Fraction]]:
+    """[e_i, e_j] for every ordered pair with a non-zero bracket."""
+    n = L.dim
+    return {(i, j): b for i in range(n) for j in range(n) if (b := L.bracket_basis(i, j))}
+
+
+def fraction_bracket(table, x, y) -> dict[int, Fraction]:
+    """[x, y] by bilinear expansion over a ``fraction_table``, in Fractions."""
+    out: dict[int, Fraction] = {}
+    for i, xi in x.items():
+        for j, yj in y.items():
+            for k, ck in table.get((i, j), {}).items():
+                out[k] = out.get(k, 0) + xi * yj * ck
+    return {k: v for k, v in out.items() if v}
+
+
+def jacobi_failure_by_full_scan(L):
+    """First basis triple (1-based) whose Jacobi sum is non-zero, or None.
+
+    Every triple i < j < k is visited in order, so this is the location the
+    validator must report.
+    """
+    n = L.dim
+    table = fraction_table(L)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                acc: dict[int, Fraction] = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for t, v in fraction_bracket(table, table.get((a, b), {}), {c: 1}).items():
+                        acc[t] = acc.get(t, Fraction(0)) + v
+                if any(acc.values()):
+                    return (i + 1, j + 1, k + 1)
+    return None
+
+
+def basis_change_by_gauss_jordan(L, rng) -> dict[tuple[int, int], dict[int, Fraction]]:
+    """The bracket table of L in a random basis b_i = sum_j P[i][j] e_j.
+
+    P is drawn exactly as ``random_basis_change`` draws it (row by row from
+    randint(-3, 3), redrawn while singular) and inverted by Gauss-Jordan
+    elimination in Fractions, so one seed gives the same table.
+    """
+    n = L.dim
+    while True:
+        P = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+        aug = [list(P[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        for col in range(n):
+            piv = next((r for r in range(col, n) if aug[r][col]), None)
+            if piv is None:
+                break
+            aug[col], aug[piv] = aug[piv], aug[col]
+            scale = aug[col][col]
+            aug[col] = [v / scale for v in aug[col]]
+            for r in range(n):
+                if r != col and aug[r][col]:
+                    f = aug[r][col]
+                    aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+        else:
+            break
+    Pinv = [row[n:] for row in aug]
+    new_basis = [{j: P[i][j] for j in range(n) if P[i][j]} for i in range(n)]
+    table = fraction_table(L)
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            prod = fraction_bracket(table, new_basis[i], new_basis[j])
+            combo = {}
+            for k in range(n):
+                v = sum(prod.get(t, 0) * Pinv[t][k] for t in prod)
+                if v:
+                    combo[k] = v
+            if combo:
+                brackets[(i, j)] = combo
+    return brackets
+
+
+def present_by_fractions(L, c: int, lift=None):
+    """(relations, images) of the free presentation, images in Fractions.
+
+    Each generator maps to its lift vector and each longer Hall word to the
+    Fraction bracket of its factors' images; the relations are the kernel of
+    the resulting map onto L.
+    """
+    from nilmult.exactlin import Subspace, _int_row, _kernel_rows, _Spanner
+    from nilmult.freelie import free_nilpotent
+
+    table = fraction_table(L)
+    lower = [Subspace.full(L.dim)]  # gamma_1, gamma_2, ..., down to 0
+    while lower[-1].rank:
+        rows = lower[-1].rational_rows()
+        lower.append(Subspace(L.dim, [fraction_bracket(table, r, {j: 1}) for r in rows for j in range(L.dim)]))
+        if lower[-1].rank == lower[-2].rank:
+            raise ValueError(f"{L.name} is not nilpotent")
+    k = len(lower) - 1
+    derived = lower[min(1, k)]
+    if lift is None:
+        lift = [{col: Fraction(1)} for col in range(L.dim) if col not in derived.pivots]
+    F = free_nilpotent(L.dim - derived.rank, k + c)
+    images: list[dict[int, Fraction]] = []
+    for w in F.basis:
+        if w.is_generator:
+            images.append({i: Fraction(x) for i, x in lift[w.gen].items() if x})
+        elif w.length > k + 1:
+            images.append({})
+        else:
+            images.append(fraction_bracket(table, images[w.left.key], images[w.right.key]))
+    sp = _Spanner()
+    for r in range(L.dim):
+        sp.insert(_int_row({col: img[r] for col, img in enumerate(images) if r in img}))
+    return Subspace._from_rows(F.dim, _kernel_rows(F.dim, sp.canonical())), images
+
+
+def upper_centrals_by_fractions(n: int, entries, steps=None):
+    """Z_1, Z_2, ... of an n-dim bracket table, with Fraction ad-rows."""
+    from nilmult.exactlin import Subspace, _int_row, _kernel_rows, _Spanner
+
+    adrows: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for i, j, combo in entries:
+        for k, c in combo.items():
+            for key, col, v in (((k, j), i, c), ((k, i), j, -c)):
+                row = adrows.setdefault(key, {})
+                row[col] = row.get(col, 0) + Fraction(v)
+    chain = []
+    sp = _Spanner()
+    for row in adrows.values():
+        sp.insert(_int_row(row))
+    while True:
+        constraints = sp.canonical()
+        Z = Subspace._from_rows(n, _kernel_rows(n, constraints))
+        if steps is None and chain and Z.rank == chain[-1].rank:
+            break
+        chain.append(Z)
+        if steps is not None and len(chain) == steps:
+            break
+        if Z.rank == n or (len(chain) >= 2 and Z.rank == chain[-2].rank):
+            break
+        sp = _Spanner()
+        for m in constraints:
+            for j in range(n):
+                row: dict[int, Fraction] = {}
+                for k, mk in m.items():
+                    for i, c in adrows.get((k, j), {}).items():
+                        row[i] = row.get(i, 0) + mk * c
+                sp.insert(_int_row(row))
+    while steps is not None and len(chain) < steps:
+        chain.append(chain[-1])
+    return chain

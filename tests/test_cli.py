@@ -48,6 +48,14 @@ class TestInfo:
         assert code == 2
         assert "error:" in err
 
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 50_000)
+        code, _, err = run(capsys, "info", str(deep))
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestWittHall:
     def test_witt_value(self, capsys):

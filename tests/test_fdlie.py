@@ -29,6 +29,8 @@ from nilmult.fdlie import (
     validate,
 )
 
+import oracles
+
 F = Fraction
 
 
@@ -362,3 +364,134 @@ class TestRandomBasisChange:
         moved = random_basis_change(h2, random.Random(8), name="H2-moved")
         assert moved.dim == h2.dim
         assert moved.fingerprint != h2.fingerprint  # the change of basis shows
+
+
+class TestIntegerTable:
+    """LieAlgebra keeps integer numerators over one denominator; its rational
+    views and checks are compared with Fraction references."""
+
+    @staticmethod
+    def mixed() -> LieAlgebra:
+        # [a,b] = c/2 - 2d/3, [a,c] = 5d/7: class 3, denominators 2, 3, 7
+        return LieAlgebra(
+            "mixed", ("a", "b", "c", "d"), {(0, 1): {2: F(1, 2), 3: F(-2, 3)}, (0, 2): {3: F(5, 7)}}
+        )
+
+    def test_views_round_trip_mixed_denominators(self):
+        L = self.mixed()
+        assert L.den == 42
+        assert L.bracket_basis(0, 1) == {2: F(1, 2), 3: F(-2, 3)}
+        assert L.bracket_basis(1, 0) == {2: F(-1, 2), 3: F(2, 3)}
+        assert L.bracket_basis(2, 0) == {3: F(-5, 7)}
+        assert L.bracket_basis(1, 2) == {} and L.bracket_basis(3, 3) == {}
+        assert list(L.entries()) == [(0, 1, {2: F(1, 2), 3: F(-2, 3)}), (0, 2, {3: F(5, 7)})]
+        assert all(type(v) is Fraction for _, _, combo in L.entries() for v in combo.values())
+        assert L.bracket_vectors({0: 3}, {1: F(1, 3), 2: 7}) == {2: F(1, 2), 3: F(43, 3)}
+        text = dumps(L)
+        assert '"-2/3"' in text and '"5/7"' in text
+        back = loads(text)
+        assert back.fingerprint == L.fingerprint
+        assert list(back.entries()) == list(L.entries())
+        assert dumps(back) == text
+
+    def test_equal_tables_have_equal_fingerprints(self):
+        labels = ("x", "y", "z")
+        half = [
+            LieAlgebra("a", labels, {(0, 1): {2: F(1, 2)}}),
+            LieAlgebra("b", labels, {(0, 1): {2: F(2, 4)}, (0, 2): {}}),
+            validate("c", labels, [[{}, {2: F(1, 2)}, {}], [{2: F(-1, 2)}, {}, {}], [{}, {}, {}]]),
+            validate("d", labels, [
+                [[0, 0, 0], [0, 0, F(1, 2)], [0, 0, 0]],
+                [[0, 0, F(-1, 2)], [0, 0, 0], [0, 0, 0]],
+                [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+            ]),
+        ]
+        for text in ("2/4", "1/2"):
+            obj = {"name": "e", "dim": 3, "basis": list(labels),
+                   "brackets": [{"i": 0, "j": 1, "value": [[2, text]]}]}
+            half.append(from_json_dict(obj))
+        assert len({L.fingerprint for L in half}) == 1
+        one = [LieAlgebra("f", labels, {(0, 1): {2: v}}) for v in (1, F(1), F(3, 3))]
+        assert len({L.fingerprint for L in one}) == 1
+        assert one[0].fingerprint != half[0].fingerprint
+
+    def test_jacobi_check_matches_full_scan(self):
+        rng = random.Random(2024)
+        shapes = [
+            heisenberg(2),
+            direct_sum(heisenberg(1), abelian(3)),
+            from_free_nilpotent(freelie.free_nilpotent(2, 4)),
+            sl2(),
+            self.mixed(),
+        ]
+        failures = 0
+        for t in range(150):
+            L = shapes[t % len(shapes)]
+            if t % 3:
+                L = random_basis_change(L, rng)
+            table = {(i, j): dict(combo) for i, j, combo in L.entries()}
+            for _ in range(t % 4):  # t % 4 == 0 leaves the table valid
+                if table and rng.random() < 0.3:
+                    del table[rng.choice(sorted(table))]
+                    continue
+                i, j = sorted(rng.sample(range(L.dim), 2))
+                combo = table.setdefault((i, j), {})
+                k = rng.randrange(L.dim)
+                combo[k] = combo.get(k, 0) + F(rng.choice((-1, 1)), rng.randint(1, 3))
+            expected = oracles.jacobi_failure_by_full_scan(LieAlgebra("p", L.basis_labels, table, check=False))
+            if expected is None:
+                LieAlgebra("p", L.basis_labels, table)
+                continue
+            failures += 1
+            with pytest.raises(ValidationError) as exc:
+                LieAlgebra("p", L.basis_labels, table)
+            assert exc.value.location == expected, t
+        assert 50 < failures < 150
+
+    def test_check_visits_only_triples_with_a_bracket(self, monkeypatch):
+        calls = []
+        ibracket = LieAlgebra._ibracket
+
+        def counted(self, x, y):
+            calls.append(1)
+            return ibracket(self, x, y)
+
+        monkeypatch.setattr(LieAlgebra, "_ibracket", counted)
+        assert loads(dumps(abelian(300))).dim == 300
+        assert calls == []
+        assert loads(dumps(heisenberg(40))).fingerprint == heisenberg(40).fingerprint
+
+    def test_basis_change_matches_gauss_jordan_reference(self):
+        shapes = [
+            heisenberg(2),
+            from_free_nilpotent(freelie.free_nilpotent(2, 4)),
+            direct_sum(heisenberg(1), abelian(3)),
+        ]
+        for L in shapes:
+            for seed in range(3):
+                moved = random_basis_change(L, random.Random(seed))
+                table = oracles.basis_change_by_gauss_jordan(L, random.Random(seed))
+                assert moved.fingerprint == LieAlgebra("ref", moved.basis_labels, table).fingerprint
+
+    def test_upper_centrals_match_fraction_reference(self):
+        rng = random.Random(77)
+        shapes = [
+            heisenberg(2),
+            from_free_nilpotent(freelie.free_nilpotent(2, 4)),
+            direct_sum(heisenberg(1), abelian(2)),
+            self.mixed(),
+        ]
+        for L in shapes:
+            moved = random_basis_change(L, rng)
+            tables = [list(moved.entries())]
+            # each pair rescaled on its own: no longer a Lie bracket, but a
+            # bilinear table with unrelated denominators, some entries int
+            tables.append([
+                (i, j, {k: v * F(rng.choice((1, -2, 3)), rng.randint(1, 5)) for k, v in combo.items()})
+                for i, j, combo in moved.entries()
+            ])
+            tables.append([(i, j, {k: 2 for k in combo}) for i, j, combo in moved.entries()])
+            for entries in tables:
+                for steps in (None, 1, 2, 3):
+                    assert upper_centrals(moved.dim, entries, steps) == \
+                        oracles.upper_centrals_by_fractions(moved.dim, entries, steps)

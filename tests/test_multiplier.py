@@ -122,6 +122,42 @@ class TestPresent:
         with pytest.raises(PresentationError, match="length-2"):
             present(h1, 1, dim_cap=DIM_CAP + 1)
 
+    @staticmethod
+    def moved_shapes(rng):
+        shapes = [
+            heisenberg(1),
+            heisenberg(2),
+            direct_sum(heisenberg(1), abelian(2)),
+            fdlie.from_free_nilpotent(free_nilpotent(2, 3)),
+            # class 3 with relations below the class: moved, its relation
+            # rows mix Hall words of different lengths
+            direct_sum(heisenberg(1), fdlie.from_free_nilpotent(free_nilpotent(2, 3))),
+        ]
+        return [fdlie.random_basis_change(L, rng, name=f"moved-{L.name}") for L in shapes]
+
+    def test_matches_fraction_reference(self):
+        for L in self.moved_shapes(random.Random(919)):
+            assert L.den > 1
+            for c in (1, 2):
+                pres = present(L, c)
+                relations, images = oracles.present_by_fractions(L, c)
+                assert pres.relations == relations, (L.name, c)
+                assert [dict(img) for img in pres.images] == images, (L.name, c)
+
+    def test_fractional_lift_matches_fraction_reference(self):
+        rng = random.Random(920)
+        for L in self.moved_shapes(rng):
+            lift = [
+                {i: x * (F(1, 2) if t % 2 else F(-2, 3)) for i, x in v.items()}
+                for t, v in enumerate(random_lift(L, rng))
+            ]
+            assert max(x.denominator for v in lift for x in v.values()) > 1
+            for c in (1, 2):
+                pres = present(L, c, lift=lift)
+                relations, images = oracles.present_by_fractions(L, c, lift)
+                assert pres.relations == relations, (L.name, c)
+                assert [dict(img) for img in pres.images] == images, (L.name, c)
+
     def test_rank_nullity_is_enforced(self, h1):
         pres = present(h1, 1)
         with pytest.raises(PresentationError, match="rank-nullity"):
