@@ -283,11 +283,16 @@ class SeriesReport:
 
 
 def _lower_centrals(L: LieAlgebra) -> list[Subspace]:
+    partners: dict[int, set[int]] = {}
+    for i, j in L._num:
+        partners.setdefault(i, set()).add(j)
+        partners.setdefault(j, set()).add(i)
     chain = [Subspace.full(L.dim)]
     while chain[-1].rank:
         sp = _Spanner()
         for row in chain[-1].integer_rows():
-            for j in range(L.dim):
+            # [row, e_j] vanishes unless a stored pair joins j to row's support
+            for j in sorted(set().union(*(partners.get(i, ()) for i in row))):
                 sp.insert(L._ibracket(row, {j: 1}))
         nxt = Subspace.from_spanner(L.dim, sp)
         if nxt.rank == chain[-1].rank:

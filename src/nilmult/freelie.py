@@ -300,20 +300,26 @@ def free_nilpotent(d: int, c: int, dim_cap: int = DIM_CAP) -> FreeNilpotentAlgeb
 
 
 def span_bracket_rows(
-    F: FreeNilpotentAlgebra, rows: Sequence[IntRow]
+    F: FreeNilpotentAlgebra, rows: Sequence[IntRow], top: int | None = None
 ) -> list[IntRow]:
-    """Canonical basis rows of span{[r, w] : r in rows, w a basis word}.
+    """Canonical basis rows of span{[r, w] : r in rows, w a basis word},
+    cut to the words of weight <= ``top`` (default: the class).
 
-    By bilinearity this is [S, F] for S the span of ``rows``.  Products are
-    skipped when the weight bound forces them to vanish.
+    By bilinearity this is [S, F] for S the span of ``rows``, projected.
+    Each product is homogeneous in the weights of its factors, so the
+    components of a row too heavy for a word are skipped before bracketing.
     """
-    cls = F.nilpotency_class
+    if top is None:
+        top = F.nilpotency_class
+    starts = F.stratum_starts
     sp = _Spanner()
     for row in rows:
-        wmin = F.weight(min(row))
-        stop = F.stratum_starts[cls - wmin + 1] if cls - wmin >= 1 else 0
-        for j in range(stop):
-            prod = F.bracket_row_index(row, j)
-            if prod:
-                sp.insert(_primitive(prod))
+        items = sorted(row.items())
+        for wj in range(1, top - F.weight(items[0][0]) + 1):
+            cut = starts[top - wj + 1]
+            part = {i: ci for i, ci in items if i < cut}
+            for j in range(starts[wj], starts[wj + 1]):
+                prod = F.bracket_row_index(part, j)
+                if prod:
+                    sp.insert(_primitive(prod))
     return sp.canonical()

@@ -3,9 +3,13 @@
 For L = F/R with F free, the c-nilpotent multiplier is
 R ∩ γ_{c+1}(F) / [R,F,…,F] (c bracketings), and the c-epicenter is the image
 in L of Z_c(F/[R,F,…,F]).  For L of class k everything is computed inside
-the free nilpotent algebra of rank dim(L/L²) and class k + c: γ_{k+1}(F)
-lands in R, so γ_{k+c+1}(F) lies inside the c-fold bracket closure of R and
-the truncation changes none of the quotients involved.
+the free nilpotent algebra of rank dim(L/L²) and class K = k + c, where no
+quotient involved changes.  There γ_{k+1}(F) lies in R, so
+R = R_{≤k} ⊕ γ_{k+1}(F) with R_{≤k} the relations among the words of length
+at most k; a presentation stores R_{≤k} and keeps the γ_{k+1}(F) block
+implicit.  That block brackets into γ_{K+1}(F) = 0, so the closure is
+[R_{≤k},F,…,F], and with r bracketings still to come only the components of
+weight at most K − r can survive: each bracketing is cut to those weights.
 """
 
 from __future__ import annotations
@@ -15,10 +19,10 @@ import random
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
-from .exactlin import IntRow, Subspace, _int_row, _kernel_rows, _primitive, _Spanner
+from .exactlin import IntRow, Subspace, _as_fraction, _int_row, _kernel_rows, _primitive, _Spanner
 from .fdlie import LieAlgebra, NotNilpotentError, series, upper_centrals
 from .freelie import DIM_CAP, FreeNilpotentAlgebra, free_nilpotent, span_bracket_rows
 
@@ -36,17 +40,26 @@ class Presentation:
     """
 
     ambient: FreeNilpotentAlgebra
-    relations: Subspace  # kernel of the map onto L inside the ambient
+    short_relations: Subspace  # R_{≤k}: the kernel on the words of length <= k
+    k: int  # class of the algebra
     c: int
     algebra: LieAlgebra
     images: tuple = field(repr=False)  # image in L of each ambient basis word
 
     def __post_init__(self):
-        if self.ambient.dim - self.relations.rank != self.algebra.dim:
+        short = self.ambient.stratum_starts[self.k + 1]
+        if short - self.short_relations.rank != self.algebra.dim:
             raise PresentationError(
-                f"rank-nullity fails: ambient dim {self.ambient.dim} minus relation rank "
-                f"{self.relations.rank} is not dim L = {self.algebra.dim}"
+                f"rank-nullity fails: {short} words of length <= {self.k} minus relation rank "
+                f"{self.short_relations.rank} is not dim L = {self.algebra.dim}"
             )
+
+    @cached_property
+    def relations(self) -> Subspace:
+        """The kernel R = R_{≤k} ⊕ γ_{k+1}(F) of the map onto L."""
+        F = self.ambient
+        tail = [{j: 1} for j in range(F.stratum_starts[self.k + 1], F.dim)]
+        return Subspace._from_rows(F.dim, [*self.short_relations.integer_rows(), *tail])
 
 
 @dataclass(frozen=True)
@@ -106,7 +119,7 @@ def present(
         lift_vectors = []
         sp = _Spanner()
         for v in lift:
-            vec = {int(i): Fraction(x) for i, x in dict(v).items() if x}
+            vec = {int(i): f for i, x in dict(v).items() if (f := _as_fraction(x))}
             residual = derived.reduce(vec)
             if not sp.insert(_int_row(residual)):
                 raise ValueError("lift does not span L modulo L²")
@@ -118,8 +131,9 @@ def present(
 
     F = free_nilpotent(d, k + c, dim_cap)
     # brackets of length > k die in an algebra of class k; series(L) has
-    # shown that, so only length k + 1 is computed, as a check
-    live = F.stratum_starts[k + 2]
+    # shown that, so only length k + 1 is computed, as a check, and the
+    # kernel is solved on the words of length <= k alone
+    short, live = F.stratum_starts[k + 1], F.stratum_starts[k + 2]
     # ints[w]: λ^l·den^(l-1) times the image of w, of length l, where λ is
     # the lift's common denominator; rows: relation rows times λ^k·den^(k-1)
     unit = lam * L.den
@@ -146,15 +160,21 @@ def present(
         sp.insert(_primitive(row))
     if sp.rank != L.dim:
         raise ValueError("lift images fail to generate L")  # cannot happen for a valid lift
-    relations = Subspace._from_rows(F.dim, _kernel_rows(F.dim, sp.canonical()))
-    pres = Presentation(F, relations, c, L, tuple(images))
+    short_relations = Subspace._from_rows(F.dim, _kernel_rows(short, sp.canonical()))
+    pres = Presentation(F, short_relations, k, c, L, tuple(images))
     if cacheable:
         _present_cache[key] = pres
     return pres
 
 
 def subideal_bracket(S: Subspace, ambient: FreeNilpotentAlgebra, depth: int) -> Subspace:
-    """[S, F, …, F] with ``depth`` bracketings against the whole algebra."""
+    """[S, F, …, F] with ``depth`` bracketings against the whole algebra.
+
+    Each bracketing raises weight by at least one and the ambient has class
+    K, so with r bracketings still to come a component of weight above
+    K − r dies: each bracketing skips those components and keeps only the
+    weights the next ones can still use.
+    """
     if S.ambient_dim != ambient.dim:
         raise ValueError(
             f"subspace lives in Q^{S.ambient_dim}, ambient has dimension {ambient.dim}"
@@ -163,22 +183,24 @@ def subideal_bracket(S: Subspace, ambient: FreeNilpotentAlgebra, depth: int) -> 
         raise ValueError("depth must be >= 0")
     if depth == 0:
         return S
-    rows = list(S.integer_rows())
-    for _ in range(depth):
-        rows = span_bracket_rows(ambient, rows)
+    K = ambient.nilpotency_class
+    rows = S.integer_rows()
+    for r in range(depth, 0, -1):
+        rows = span_bracket_rows(ambient, rows, K - r + 1)
     return Subspace._from_rows(ambient.dim, rows)
 
 
 @lru_cache(maxsize=2)
 def _closure(pres: Presentation) -> Subspace:
     """[R, F, …, F] with pres.c bracketings, shared by nilpotent_multiplier
-    and z_star.
+    and z_star.  The implicit block γ_{k+1}(F) of R brackets to zero, so
+    only R_{≤k} is bracketed.
 
     report() asks for M^(c), then Z*_1, then Z*_c, so two entries let the
     second weight-c query reuse the first; the bound keeps the memo from
     holding every closure ever built.
     """
-    return subideal_bracket(pres.relations, pres.ambient, pres.c)
+    return subideal_bracket(pres.short_relations, pres.ambient, pres.c)
 
 
 def nilpotent_multiplier(
@@ -192,8 +214,7 @@ def nilpotent_multiplier(
     """dim and Hall-word basis of the c-nilpotent multiplier of L.
 
     c = 1 is the Schur multiplier.  Weights c >= 3 grow the ambient algebra
-    quickly and have no reference values, so they sit behind
-    ``opt_in_high_weight``.
+    quickly, so they sit behind ``opt_in_high_weight``.
     """
     if c < 1:
         raise ValueError("multiplier weight c must be >= 1")

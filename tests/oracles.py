@@ -15,12 +15,15 @@ reaches the same numbers by a structurally different route:
   that the weight-ordered table build replaced, kept as its reference.
 * ``reduce_by_every_pivot`` is the walk-every-pivot reduction that the
   pivot-indexed ``Subspace.reduce`` replaced, kept as its reference.
+* ``closure_by_every_word`` is the untruncated [S, F, ..., F] that the
+  weight-cut ``subideal_bracket`` replaced: every row with every word,
+  every product kept whole.
 * the ``Fraction``-table references at the bottom are the rational code
   that the integer structure constants of ``LieAlgebra`` replaced: the full
-  Jacobi scan, the Gauss-Jordan basis change, the generator images of
-  ``present`` and the ``upper_centrals`` loop.  They read an algebra only
-  through ``bracket_basis``; the last two still solve with nilmult's
-  elimination engine, which has tests of its own.
+  Jacobi scan, the Gauss-Jordan basis change, the lower central series and
+  the generator images of ``present``, and the ``upper_centrals`` loop.
+  They read an algebra only through ``bracket_basis``; the last three still
+  solve with nilmult's elimination engine, which has tests of its own.
 """
 
 from __future__ import annotations
@@ -277,6 +280,35 @@ def jacobi_table_by_recursion(F) -> dict[tuple[int, int], dict[int, int]]:
     return table
 
 
+def closure_by_every_word(S, F, depth: int):
+    """[S, F, ..., F] with ``depth`` bracketings inside F, untruncated.
+
+    Each round brackets every basis row of the current span with every
+    basis word of F and keeps each product whole: no weight is cut ahead
+    of time, so only the class of F bounds anything.  Products are read
+    straight from the structure table, indexed by left factor, so the
+    pairs the table leaves out (the zero products) cost nothing.
+    """
+    from nilmult.exactlin import Subspace
+
+    partners: dict[int, list] = {}
+    for (i, j), combo in F._table.items():
+        partners.setdefault(i, []).append((j, combo))
+    current = S
+    for _ in range(depth):
+        products = []
+        for row in current.integer_rows():
+            by_word: dict[int, dict[int, int]] = {}
+            for i, ci in row.items():
+                for j, combo in partners.get(i, ()):
+                    out = by_word.setdefault(j, {})
+                    for k, ck in combo.items():
+                        out[k] = out.get(k, 0) + ci * ck
+            products.extend(by_word.values())
+        current = Subspace(F.dim, products)
+    return current
+
+
 # ---------------------------------------------------------------------------
 # Rational references for the integer structure-constant table
 
@@ -358,6 +390,21 @@ def basis_change_by_gauss_jordan(L, rng) -> dict[tuple[int, int], dict[int, Frac
     return brackets
 
 
+def lower_centrals_by_fractions(L):
+    """gamma_1, gamma_2, ... of L, each bracketed with every basis vector in
+    Fractions; ends at 0, or repeats the term where the series stabilises."""
+    from nilmult.exactlin import Subspace
+
+    table = fraction_table(L)
+    lower = [Subspace.full(L.dim)]
+    while lower[-1].rank:
+        rows = lower[-1].rational_rows()
+        lower.append(Subspace(L.dim, [fraction_bracket(table, r, {j: 1}) for r in rows for j in range(L.dim)]))
+        if lower[-1].rank == lower[-2].rank:
+            break
+    return lower
+
+
 def present_by_fractions(L, c: int, lift=None):
     """(relations, images) of the free presentation, images in Fractions.
 
@@ -369,12 +416,9 @@ def present_by_fractions(L, c: int, lift=None):
     from nilmult.freelie import free_nilpotent
 
     table = fraction_table(L)
-    lower = [Subspace.full(L.dim)]  # gamma_1, gamma_2, ..., down to 0
-    while lower[-1].rank:
-        rows = lower[-1].rational_rows()
-        lower.append(Subspace(L.dim, [fraction_bracket(table, r, {j: 1}) for r in rows for j in range(L.dim)]))
-        if lower[-1].rank == lower[-2].rank:
-            raise ValueError(f"{L.name} is not nilpotent")
+    lower = lower_centrals_by_fractions(L)
+    if lower[-1].rank:
+        raise ValueError(f"{L.name} is not nilpotent")
     k = len(lower) - 1
     derived = lower[min(1, k)]
     if lift is None:

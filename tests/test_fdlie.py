@@ -495,3 +495,30 @@ class TestIntegerTable:
                 for steps in (None, 1, 2, 3):
                     assert upper_centrals(moved.dim, entries, steps) == \
                         oracles.upper_centrals_by_fractions(moved.dim, entries, steps)
+
+    def test_lower_series_skips_zero_brackets(self, monkeypatch):
+        calls = []
+        ibracket = LieAlgebra._ibracket
+
+        def counted(self, x, y):
+            calls.append(1)
+            return ibracket(self, x, y)
+
+        monkeypatch.setattr(LieAlgebra, "_ibracket", counted)
+        L = loads(dumps(abelian(300)))
+        assert [g.rank for g in series(L).lower] == [300, 0]
+        assert calls == []
+
+    def test_lower_series_matches_fraction_reference(self):
+        rng = random.Random(78)
+        shapes = [
+            heisenberg(2),
+            from_free_nilpotent(freelie.FreeNilpotentAlgebra(2, 4)),
+            direct_sum(heisenberg(1), from_free_nilpotent(freelie.FreeNilpotentAlgebra(2, 3))),
+            direct_sum(heisenberg(1), abelian(2)),
+            self.mixed(),
+            sl2(),
+        ]
+        for L in shapes:
+            for moved in (L, random_basis_change(L, rng)):
+                assert series(moved).lower == tuple(oracles.lower_centrals_by_fractions(moved)), L.name

@@ -279,3 +279,14 @@ class TestSpanBracketRows:
         out = span_bracket_rows(F, rows)
         pivots = sorted(min(r) for r in out)
         assert pivots == list(range(F.stratum_starts[3], F.dim))
+
+    def test_ceiling_keeps_only_light_products(self):
+        # [F, F] = γ_2(F); cut at weight 3 it is the words of length 2 and 3
+        F = FreeNilpotentAlgebra(2, 4)
+        rows = [{i: 1} for i in range(F.dim)]
+        starts = F.stratum_starts
+        assert span_bracket_rows(F, rows, 3) == [{i: 1} for i in range(starts[2], starts[4])]
+        assert span_bracket_rows(F, rows, 1) == []
+        # a mixed row keeps the products of its light part only
+        mixed = {0: 1, starts[3]: 1}
+        assert span_bracket_rows(F, [mixed], 3) == span_bracket_rows(F, [{0: 1}], 3)

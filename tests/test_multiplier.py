@@ -6,11 +6,12 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilmult import fdlie, multiplier
 from nilmult.exactlin import Subspace
 from nilmult.fdlie import LieAlgebra, NotNilpotentError, abelian, direct_sum, heisenberg, series
-from nilmult.freelie import DIM_CAP, free_nilpotent, witt
+from nilmult.freelie import DIM_CAP, FreeNilpotentAlgebra, free_nilpotent, witt
 from nilmult.multiplier import (
     BoundReport,
     Presentation,
@@ -158,10 +159,33 @@ class TestPresent:
                 assert pres.relations == relations, (L.name, c)
                 assert [dict(img) for img in pres.images] == images, (L.name, c)
 
+    def test_float_lift_rejected(self, h1):
+        with pytest.raises(TypeError, match="float"):
+            present(h1, 1, lift=[{0: 0.1}, {1: 1}])
+        with pytest.raises(TypeError, match="float"):
+            present(h1, 1, lift=[{0: 1, 2: 0.0}, {1: 1}])
+
+    def test_relations_are_short_relations_plus_deep_block(self, corpus):
+        shapes = list(corpus) + self.moved_shapes(random.Random(921))
+        for L in shapes:
+            for c in (1, 2):
+                pres = present(L, c)
+                F, k = pres.ambient, pres.k
+                assert k == series(L).nilpotency_class
+                short = F.stratum_starts[k + 1]
+                rows = pres.short_relations.integer_rows()
+                assert all(max(r) < short for r in rows), (L.name, c)
+                deep = [{j: 1} for j in range(short, F.dim)]
+                assert pres.relations == Subspace(F.dim, [*rows, *deep]), (L.name, c)
+                assert pres.relations.integer_rows()[: len(rows)] == rows
+
     def test_rank_nullity_is_enforced(self, h1):
+        # R_{≤2} of H(1) is zero; a relation killing the generator x leaves
+        # 3 - 1 short words, not dim H(1) = 3
         pres = present(h1, 1)
+        bad = Subspace.coordinate_span(pres.ambient.dim, [0])
         with pytest.raises(PresentationError, match="rank-nullity"):
-            Presentation(pres.ambient, Subspace.zero(pres.ambient.dim), 1, h1, pres.images)
+            Presentation(pres.ambient, bad, pres.k, 1, h1, pres.images)
 
 
 class TestSubidealBracket:
@@ -192,6 +216,50 @@ class TestSubidealBracket:
             subideal_bracket(Subspace.zero(amb.dim + 1), amb, 1)
         with pytest.raises(ValueError):
             subideal_bracket(Subspace.zero(amb.dim), amb, -1)
+
+
+def truncation_shapes() -> list[LieAlgebra]:
+    """Nine algebras of class 1 to 4, each also moved to a random basis."""
+    shapes = [
+        heisenberg(1),
+        heisenberg(2),
+        heisenberg(3),
+        abelian(3),
+        fdlie.from_free_nilpotent(FreeNilpotentAlgebra(3, 3), "N(3,3)"),
+        fdlie.from_free_nilpotent(FreeNilpotentAlgebra(2, 4), "N(2,4)"),
+        direct_sum(heisenberg(1), fdlie.from_free_nilpotent(FreeNilpotentAlgebra(2, 3), "N(2,3)")),
+        direct_sum(heisenberg(1), abelian(2)),
+        direct_sum(heisenberg(2), abelian(1)),
+    ]
+    rng = random.Random(922)
+    return shapes + [fdlie.random_basis_change(L, rng, name=f"moved-{L.name}") for L in shapes]
+
+
+class TestWeightTruncation:
+    """The weight-cut closure of R_{≤k} against the untruncated closure of
+    the whole of R."""
+
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    def test_closure_matches_untruncated(self, c):
+        for L in truncation_shapes():
+            pres = present(L, c)
+            F = pres.ambient
+            want = oracles.closure_by_every_word(pres.relations, F, c)
+            assert subideal_bracket(pres.relations, F, c) == want, (L.name, c)
+            # the memo brackets R_{≤k} alone
+            assert multiplier._closure(pres) == want, (L.name, c)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_random_subspaces_match_untruncated(self, data):
+        F = data.draw(st.sampled_from([FreeNilpotentAlgebra(2, 5), FreeNilpotentAlgebra(3, 4)]))
+        depth = data.draw(st.integers(0, 3))
+        entry = st.integers(-3, 3).filter(bool)
+        rows = data.draw(st.lists(
+            st.dictionaries(st.integers(0, F.dim - 1), entry, min_size=1, max_size=4), max_size=5,
+        ))
+        S = Subspace(F.dim, rows)
+        assert subideal_bracket(S, F, depth) == oracles.closure_by_every_word(S, F, depth)
 
 
 class TestNilpotentMultiplier:
@@ -346,6 +414,24 @@ class TestClosureMemo:
         held = [t for t in range(len(cold)) if sys.getrefcount(cold[t]) > 2]
         assert len(held) <= 2
         assert multiplier._closure.cache_info().currsize == 2
+
+
+class TestWittOracles:
+    """Multipliers whose dimensions are sums of Lyndon-word counts."""
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 4])
+    def test_abelian(self, c):
+        # R = γ_2(F), so M^(c)(A(n)) = γ_{c+1}(F)/γ_{c+2}(F)
+        for n in range(1, 5):
+            got = nilpotent_multiplier(abelian(n), c, opt_in_high_weight=True).dimension
+            assert got == witt(n, c + 1) == oracles.lyndon_count(n, c + 1), (n, c)
+
+    @pytest.mark.parametrize("d, k, c", [(3, 3, 2), (4, 3, 2), (3, 4, 2), (2, 6, 2), (2, 2, 3), (2, 2, 4)])
+    def test_free_nilpotent(self, d, k, c):
+        # N(d,k) = F/γ_{k+1}(F), so M^(c) = γ_{max(k,c)+1}(F)/γ_{k+c+1}(F)
+        L = fdlie.from_free_nilpotent(FreeNilpotentAlgebra(d, k), f"N({d},{k})")
+        got = nilpotent_multiplier(L, c, opt_in_high_weight=True).dimension
+        assert got == sum(oracles.lyndon_count(d, j) for j in range(max(k, c) + 1, k + c + 1))
 
 
 class TestCapability:
