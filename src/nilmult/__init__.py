@@ -5,7 +5,7 @@ M^(2)(L), epicenters Z*₁ and Z*₂, and (2-)capability verdicts via Hall-basis
 free presentations and rational linear algebra.
 """
 
-from .exactlin import ContainmentError, Matrix, Subspace, kernel, rref
+from .exactlin import ContainmentError, Subspace
 from .fdlie import (
     LieAlgebra,
     NonIdealError,
@@ -26,6 +26,7 @@ from .freelie import (
     FreeNilpotentAlgebra,
     HallTableError,
     HallWord,
+    clear_caches,
     free_nilpotent,
     hall_basis,
     witt,

@@ -7,15 +7,14 @@ equivalent to rational Gauss-Jordan elimination but avoids per-entry
 the unique fully reduced (canonical) basis of such rows inside a fixed
 ambient coordinate space, so equal subspaces compare equal structurally, and
 it keeps a pivot -> row index so that reducing a vector touches only the
-pivots the vector hits.  ``Matrix`` is a small dense ``Fraction`` wrapper
-for the ``rref``/``kernel`` entry points.
+pivots the vector hits.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping
 
 Coeff = int | Fraction
 IntRow = dict[int, int]  # sparse row, no explicit zeros
@@ -134,84 +133,6 @@ class _Spanner:
         return [done[p] for p in pivots]
 
 
-class Matrix:
-    """Immutable dense matrix with exact rational entries."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: Sequence[Sequence[Coeff]]):
-        if len(entries) != rows or any(len(r) != cols for r in entries):
-            raise ValueError(f"entry grid does not match shape {rows}x{cols}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(
-            self, "entries", tuple(tuple(_as_fraction(x) for x in r) for r in entries)
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
-
-    @classmethod
-    def from_rows(cls, entries: Sequence[Sequence[Coeff]], cols: int | None = None) -> "Matrix":
-        entries = [list(r) for r in entries]
-        if cols is None:
-            if not entries:
-                raise ValueError("cannot infer column count from an empty row list")
-            cols = len(entries[0])
-        return cls(len(entries), cols, entries)
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self.entries)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, [self.column(j) for j in range(self.cols)])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols})"
-
-
-def _rational_row(int_row: IntRow, cols: int) -> list[Fraction]:
-    pivot_value = int_row[min(int_row)]
-    out = [Fraction(0)] * cols
-    for c, v in int_row.items():
-        out[c] = Fraction(v, pivot_value)
-    return out
-
-
-def rref(m: Matrix) -> tuple[Matrix, int]:
-    """Reduced row echelon form and rank.  Zero rows sink to the bottom."""
-    sp = _Spanner()
-    for i in range(m.rows):
-        sp.insert(_int_row(m.entries[i]))
-    canon = sp.canonical()
-    out = [_rational_row(r, m.cols) for r in canon]
-    while len(out) < m.rows:
-        out.append([Fraction(0)] * m.cols)
-    return Matrix(m.rows, m.cols, out), len(canon)
-
-
 def _kernel_rows(n: int, canonical_rows: list[IntRow]) -> list[IntRow]:
     """Canonical basis rows of the null space of the matrix with the given
     fully reduced rows.
@@ -235,20 +156,12 @@ def _kernel_rows(n: int, canonical_rows: list[IntRow]) -> list[IntRow]:
     return sp.canonical()
 
 
-def kernel(m: Matrix) -> "Subspace":
-    """Right null space of ``m`` as a subspace of the column coordinate space."""
-    sp = _Spanner()
-    for i in range(m.rows):
-        sp.insert(_int_row(m.entries[i]))
-    return Subspace._from_rows(m.cols, _kernel_rows(m.cols, sp.canonical()))
-
-
 class Subspace:
     """A linear subspace of Q^n held as its canonical RREF basis.
 
     The basis rows are stored as primitive integer vectors; dividing each by
     its pivot entry recovers the rational RREF (pivot entries 1, pivot
-    columns otherwise zero), which is what :attr:`basis` exposes.
+    columns otherwise zero), which is what :meth:`rational_rows` yields.
     """
 
     __slots__ = ("ambient_dim", "_rows", "_pivots", "_by_pivot")
@@ -301,10 +214,6 @@ class Subspace:
     @property
     def pivots(self) -> tuple[int, ...]:
         return self._pivots
-
-    @property
-    def basis(self) -> Matrix:
-        return Matrix(self.rank, self.ambient_dim, [_rational_row(r, self.ambient_dim) for r in self._rows])
 
     def integer_rows(self) -> tuple[IntRow, ...]:
         """The primitive integer form of the RREF basis rows."""

@@ -12,12 +12,16 @@ to an integer combination of basis words by Jacobi rewriting.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from collections import OrderedDict
 from typing import Iterator, Mapping, Sequence
 
 from .exactlin import IntRow, Subspace, _primitive, _Spanner
 
 DIM_CAP = 5000
+
+# Entries in the memo of free algebras and presentations.  One verify-paper
+# run touches 84 presentations and about 22 free algebras, so it fits whole.
+MEMO_SIZE = 128
 
 
 class DimensionCapError(ValueError):
@@ -278,9 +282,29 @@ class FreeNilpotentAlgebra:
         return f"FreeNilpotentAlgebra(rank={self.rank}, class={self.nilpotency_class}, dim={self.dim})"
 
 
-@lru_cache(maxsize=16)
-def _free_nilpotent_cached(d: int, c: int) -> FreeNilpotentAlgebra:
-    return FreeNilpotentAlgebra(d, c)
+# Least recently used first.  Keys are (rank, class) for free algebras and
+# (name, labels, fingerprint, c) for presentations, so they never collide.
+_memo: OrderedDict = OrderedDict()
+
+
+def _memoised(key, build):
+    """The memo's value for ``key``, or ``build()`` stored under it on a miss.
+
+    Either way the entry becomes the most recently used; past MEMO_SIZE
+    entries the least recently used one is dropped.
+    """
+    value = _memo.pop(key, None)
+    if value is None:
+        value = build()
+    _memo[key] = value  # inserted last, as the most recently used
+    if len(_memo) > MEMO_SIZE:
+        _memo.popitem(last=False)
+    return value
+
+
+def clear_caches() -> None:
+    """Empty the memo of free algebras and presentations."""
+    _memo.clear()
 
 
 def free_nilpotent(d: int, c: int, dim_cap: int = DIM_CAP) -> FreeNilpotentAlgebra:
@@ -296,7 +320,7 @@ def free_nilpotent(d: int, c: int, dim_cap: int = DIM_CAP) -> FreeNilpotentAlgeb
         raise DimensionCapError(
             f"free nilpotent algebra of rank {d} and class {c} has dimension {total}, cap is {dim_cap}"
         )
-    return _free_nilpotent_cached(d, c)
+    return _memoised((d, c), lambda: FreeNilpotentAlgebra(d, c))
 
 
 def span_bracket_rows(

@@ -19,12 +19,12 @@ import random
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from types import MappingProxyType
 
 from .exactlin import IntRow, Subspace, _as_fraction, _int_row, _kernel_rows, _primitive, _Spanner
 from .fdlie import LieAlgebra, NotNilpotentError, series, upper_centrals
-from .freelie import DIM_CAP, FreeNilpotentAlgebra, free_nilpotent, span_bracket_rows
+from .freelie import DIM_CAP, FreeNilpotentAlgebra, _memoised, free_nilpotent, span_bracket_rows
 
 
 class PresentationError(ArithmeticError):
@@ -36,7 +36,8 @@ class PresentationError(ArithmeticError):
 class Presentation:
     """Free presentation data for a nilpotent algebra at multiplier weight c.
 
-    Compared and hashed by identity, so it can key the closure memo.
+    What is derived from it (the closure, the multiplier, the epicenter) is
+    computed on first read and lives as long as the presentation does.
     """
 
     ambient: FreeNilpotentAlgebra
@@ -54,12 +55,75 @@ class Presentation:
                 f"{self.short_relations.rank} is not dim L = {self.algebra.dim}"
             )
 
-    @cached_property
+    @property
     def relations(self) -> Subspace:
-        """The kernel R = R_{≤k} ⊕ γ_{k+1}(F) of the map onto L."""
+        """The kernel R = R_{≤k} ⊕ γ_{k+1}(F) of the map onto L, built on
+        each read so that no presentation keeps the γ_{k+1}(F) unit rows."""
         F = self.ambient
         tail = [{j: 1} for j in range(F.stratum_starts[self.k + 1], F.dim)]
         return Subspace._from_rows(F.dim, [*self.short_relations.integer_rows(), *tail])
+
+    @cached_property
+    def closure(self) -> Subspace:
+        """[R, F, …, F] with c bracketings.  The implicit block γ_{k+1}(F)
+        of R brackets to zero, so only R_{≤k} is bracketed."""
+        return subideal_bracket(self.short_relations, self.ambient, self.c)
+
+    @cached_property
+    def multiplier(self) -> MultiplierReport:
+        """M^(c)(L) = (R ∩ γ_{c+1}(F)) / [R, F, …, F], with a Hall-word basis."""
+        F = self.ambient
+        numerator = self.relations.intersect_suffix(F.stratum_starts[self.c + 1])
+        closure = self.closure
+        dimension = numerator.quotient_dim(closure)
+        closed_pivots = set(closure.pivots)
+        words = tuple(
+            str(F.basis[p]) for p in numerator.pivots if p not in closed_pivots
+        )
+        if len(words) != dimension:
+            raise PresentationError(
+                f"{self.algebra.name}: {len(words)} Hall words outside the closure, "
+                f"but the quotient has dimension {dimension}"
+            )
+        return MultiplierReport(self.c, dimension, words, self)
+
+    @cached_property
+    def epicenter(self) -> Subspace:
+        """Z*_c(L): the image in L of Z_c(F/[R, F, …, F]); z_star reads it
+        for c in {1, 2}."""
+        F = self.ambient
+        closure = self.closure
+        closed_pivots = set(closure.pivots)
+        keep = [col for col in range(F.dim) if col not in closed_pivots]
+        pos = {col: t for t, col in enumerate(keep)}
+        cls = F.nilpotency_class
+        entries = []
+        for a in range(len(keep)):
+            wa = F.weight(keep[a])
+            for b in range(a + 1, len(keep)):
+                if wa + F.weight(keep[b]) > cls:
+                    break  # weights ascend with the index
+                combo = F.bracket_indices(keep[a], keep[b])
+                if not combo:
+                    continue
+                residual = closure.reduce(combo)
+                if residual:
+                    entries.append((a, b, {pos[t]: v for t, v in residual.items()}))
+        Zc = upper_centrals(len(keep), entries, steps=self.c)[-1]
+
+        pushed = []
+        for row in Zc.integer_rows():
+            v: dict[int, Fraction] = {}
+            for t, val in row.items():
+                for r, x in self.images[keep[t]].items():
+                    n = v.get(r, 0) + val * x
+                    if n:
+                        v[r] = n
+                    else:
+                        del v[r]
+            if v:
+                pushed.append(v)
+        return Subspace(self.algebra.dim, pushed)
 
 
 @dataclass(frozen=True)
@@ -70,16 +134,8 @@ class MultiplierReport:
     presentation: Presentation
 
 
-_present_cache: dict = {}
-_mult_cache: dict = {}
-_zstar_cache: dict = {}
-
 # one image shared by every ambient word too long to reach L
 _ZERO_IMAGE: Mapping[int, Fraction] = MappingProxyType({})
-
-
-def _cache_key(L: LieAlgebra, c: int):
-    return (L.name, L.basis_labels, L.fingerprint, c)
 
 
 def present(
@@ -94,15 +150,22 @@ def present(
     The generators map to a lift of a basis of L/L²; by default the lift is
     the non-pivot coordinates of L² in RREF, deterministic for a given L.
     A custom ``lift`` (one sparse vector per generator) must still span L
-    modulo L².
+    modulo L².  Default-lift presentations under the default cap are
+    memoised, keyed by the algebra's name, labels and bracket table.
     """
     if c < 1:
         raise ValueError("multiplier weight c must be >= 1")
-    cacheable = lift is None and dim_cap == DIM_CAP
-    key = _cache_key(L, c)
-    if cacheable and key in _present_cache:
-        return _present_cache[key]
+    if lift is not None or dim_cap != DIM_CAP:
+        return _present(L, c, lift, dim_cap)
+    pres = _memoised((L.name, L.basis_labels, L.fingerprint, c), lambda: _present(L, c, None, dim_cap))
+    # an ambient is never older in the memo than a presentation built on
+    # it, so free_nilpotent never builds a second copy of it
+    F = pres.ambient
+    _memoised((F.rank, F.nilpotency_class), lambda: F)
+    return pres
 
+
+def _present(L: LieAlgebra, c: int, lift, dim_cap: int) -> Presentation:
     rep = series(L)
     if not rep.is_nilpotent:
         raise NotNilpotentError(
@@ -161,10 +224,7 @@ def present(
     if sp.rank != L.dim:
         raise ValueError("lift images fail to generate L")  # cannot happen for a valid lift
     short_relations = Subspace._from_rows(F.dim, _kernel_rows(short, sp.canonical()))
-    pres = Presentation(F, short_relations, k, c, L, tuple(images))
-    if cacheable:
-        _present_cache[key] = pres
-    return pres
+    return Presentation(F, short_relations, k, c, L, tuple(images))
 
 
 def subideal_bracket(S: Subspace, ambient: FreeNilpotentAlgebra, depth: int) -> Subspace:
@@ -190,19 +250,6 @@ def subideal_bracket(S: Subspace, ambient: FreeNilpotentAlgebra, depth: int) -> 
     return Subspace._from_rows(ambient.dim, rows)
 
 
-@lru_cache(maxsize=2)
-def _closure(pres: Presentation) -> Subspace:
-    """[R, F, …, F] with pres.c bracketings, shared by nilpotent_multiplier
-    and z_star.  The implicit block γ_{k+1}(F) of R brackets to zero, so
-    only R_{≤k} is bracketed.
-
-    report() asks for M^(c), then Z*_1, then Z*_c, so two entries let the
-    second weight-c query reuse the first; the bound keeps the memo from
-    holding every closure ever built.
-    """
-    return subideal_bracket(pres.short_relations, pres.ambient, pres.c)
-
-
 def nilpotent_multiplier(
     L: LieAlgebra,
     c: int,
@@ -220,28 +267,7 @@ def nilpotent_multiplier(
         raise ValueError("multiplier weight c must be >= 1")
     if c > 2 and not opt_in_high_weight:
         raise ValueError("c >= 3 requires opt_in_high_weight=True (ambient dimension grows fast)")
-    cacheable = lift is None and dim_cap == DIM_CAP
-    key = _cache_key(L, c)
-    if cacheable and key in _mult_cache:
-        return _mult_cache[key]
-
-    pres = present(L, c, lift=lift, dim_cap=dim_cap)
-    F = pres.ambient
-    numerator = pres.relations.intersect_suffix(F.stratum_starts[c + 1])
-    closure = _closure(pres)
-    dimension = numerator.quotient_dim(closure)
-    closed_pivots = set(closure.pivots)
-    words = tuple(
-        str(F.basis[p]) for p in numerator.pivots if p not in closed_pivots
-    )
-    if len(words) != dimension:
-        raise PresentationError(
-            f"{L.name}: {len(words)} Hall words outside the closure, but the quotient has dimension {dimension}"
-        )
-    report = MultiplierReport(c, dimension, words, pres)
-    if cacheable:
-        _mult_cache[key] = report
-    return report
+    return present(L, c, lift=lift, dim_cap=dim_cap).multiplier
 
 
 def z_star(L: LieAlgebra, c: int, *, dim_cap: int = DIM_CAP) -> Subspace:
@@ -251,48 +277,7 @@ def z_star(L: LieAlgebra, c: int, *, dim_cap: int = DIM_CAP) -> Subspace:
     """
     if c not in (1, 2):
         raise ValueError("epicenters are computed for c in {1, 2}")
-    cacheable = dim_cap == DIM_CAP
-    key = _cache_key(L, c)
-    if cacheable and key in _zstar_cache:
-        return _zstar_cache[key]
-
-    pres = present(L, c, dim_cap=dim_cap)
-    F = pres.ambient
-    closure = _closure(pres)
-    closed_pivots = set(closure.pivots)
-    keep = [col for col in range(F.dim) if col not in closed_pivots]
-    pos = {col: t for t, col in enumerate(keep)}
-    cls = F.nilpotency_class
-    entries = []
-    for a in range(len(keep)):
-        wa = F.weight(keep[a])
-        for b in range(a + 1, len(keep)):
-            if wa + F.weight(keep[b]) > cls:
-                break  # weights ascend with the index
-            combo = F.bracket_indices(keep[a], keep[b])
-            if not combo:
-                continue
-            residual = closure.reduce(combo)
-            if residual:
-                entries.append((a, b, {pos[t]: v for t, v in residual.items()}))
-    Zc = upper_centrals(len(keep), entries, steps=c)[-1]
-
-    pushed = []
-    for row in Zc.integer_rows():
-        v: dict[int, Fraction] = {}
-        for t, val in row.items():
-            for r, x in pres.images[keep[t]].items():
-                n = v.get(r, 0) + val * x
-                if n:
-                    v[r] = n
-                else:
-                    del v[r]
-        if v:
-            pushed.append(v)
-    out = Subspace(L.dim, pushed)
-    if cacheable:
-        _zstar_cache[key] = out
-    return out
+    return present(L, c, dim_cap=dim_cap).epicenter
 
 
 def is_capable(L: LieAlgebra) -> bool:

@@ -2,7 +2,15 @@
 
 import pytest
 
+import nilmult
 from nilmult import fdlie
+
+
+@pytest.fixture(scope="module", autouse=True)
+def fresh_memo():
+    """Start every test module with an empty memo, so that no result
+    depends on what earlier modules left in it."""
+    nilmult.clear_caches()
 
 
 @pytest.fixture(scope="session")

@@ -1,17 +1,19 @@
 """Free presentations, nilpotent multipliers, epicenters, and the closed-form
 oracles they are checked against."""
 
+import gc
 import random
-import sys
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nilmult
 from nilmult import fdlie, multiplier
 from nilmult.exactlin import Subspace
 from nilmult.fdlie import LieAlgebra, NotNilpotentError, abelian, direct_sum, heisenberg, series
-from nilmult.freelie import DIM_CAP, FreeNilpotentAlgebra, free_nilpotent, witt
+from nilmult.freelie import DIM_CAP, MEMO_SIZE, FreeNilpotentAlgebra, clear_caches, free_nilpotent, witt
 from nilmult.multiplier import (
     BoundReport,
     Presentation,
@@ -246,8 +248,8 @@ class TestWeightTruncation:
             F = pres.ambient
             want = oracles.closure_by_every_word(pres.relations, F, c)
             assert subideal_bracket(pres.relations, F, c) == want, (L.name, c)
-            # the memo brackets R_{≤k} alone
-            assert multiplier._closure(pres) == want, (L.name, c)
+            # the presentation's closure brackets R_{≤k} alone
+            assert pres.closure == want, (L.name, c)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -382,12 +384,13 @@ class TestZStar:
 
 
 class TestClosureMemo:
+    """The one bounded memo of free algebras and presentations, and the
+    closures each presentation carries."""
+
     @pytest.fixture
     def cold(self, monkeypatch):
-        """Empty result caches and closure memo, and a log of closure builds."""
-        for name in ("_present_cache", "_mult_cache", "_zstar_cache"):
-            monkeypatch.setattr(multiplier, name, {})
-        multiplier._closure.cache_clear()
+        """An empty memo, and a log of closure builds."""
+        clear_caches()
         built = []
 
         def logged(S, ambient, depth):
@@ -397,23 +400,39 @@ class TestClosureMemo:
 
         monkeypatch.setattr(multiplier, "subideal_bracket", logged)
         yield built
-        multiplier._closure.cache_clear()
+        clear_caches()
 
     def test_report_builds_each_closure_once(self, cold):
         report(heisenberg(4), 2)
         assert [(s.ambient_dim, s.rank) for s in cold] == [(1212, 1008), (204, 168)]
 
-    def test_memo_keeps_at_most_two_closures(self, cold):
+    def test_memo_keeps_at_most_memo_size_presentations(self, cold):
         rng = random.Random(20)
         shapes = [heisenberg(1), direct_sum(heisenberg(1), abelian(1)), abelian(3)]
-        for t in range(20):
-            report(fdlie.random_basis_change(shapes[t % 3], rng, name=f"L{t}"), 2)
-        assert len(cold) == 40
-        # one reference from the log and one from getrefcount's argument;
-        # anything more is a holder outside this test
-        held = [t for t in range(len(cold)) if sys.getrefcount(cold[t]) > 2]
-        assert len(held) <= 2
-        assert multiplier._closure.cache_info().currsize == 2
+        alive = []
+        for t in range(MEMO_SIZE + 1):
+            L = fdlie.random_basis_change(shapes[t % 3], rng, name=f"L{t}")
+            report(L, 2)
+            alive += [weakref.ref(present(L, c)) for c in (1, 2)]
+        assert len(cold) == 2 * (MEMO_SIZE + 1)
+        gc.collect()
+        assert sum(ref() is not None for ref in alive) <= MEMO_SIZE
+
+    def test_clear_caches_forgets_everything(self, h1):
+        F, pres = free_nilpotent(2, 3), present(h1, 2)
+        assert nilmult.clear_caches is clear_caches
+        nilmult.clear_caches()
+        assert free_nilpotent(2, 3) is not F
+        assert present(h1, 2) is not pres
+
+    def test_ambient_is_never_built_twice(self):
+        # a presentation kept in use keeps its ambient in the memo too, so
+        # free_nilpotent hands out the same algebra the presentation holds
+        pres = present(abelian(2), 2)
+        for d in range(1, MEMO_SIZE + 2):
+            free_nilpotent(d, 1)
+            assert present(abelian(2), 2) is pres
+        assert present(abelian(2), 2).ambient is free_nilpotent(2, 3)
 
 
 class TestWittOracles:
