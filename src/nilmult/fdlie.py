@@ -313,7 +313,8 @@ def upper_centrals(
     only, scaled once to integers.  Terms are produced as kernels of growing
     constraint matrices: Z_{t+1} = {x : [x, e_j] ∈ Z_t for all j}.  With
     ``steps=None`` the chain runs until it stabilises, otherwise exactly
-    ``steps`` terms are returned.
+    ``steps`` terms are returned.  Its one caller in the engine is
+    ``SeriesReport.upper``.
     """
     entries = list(entries)
     den = math.lcm(*(c.denominator for _, _, combo in entries for c in combo.values()))

@@ -10,6 +10,10 @@ at most k; a presentation stores R_{≤k} and keeps the γ_{k+1}(F) block
 implicit.  That block brackets into γ_{K+1}(F) = 0, so the closure is
 [R_{≤k},F,…,F], and with r bracketings still to come only the components of
 weight at most K − r can survive: each bracketing is cut to those weights.
+
+The epicenter is solved on dim L unknowns: R/[R,F,…,F] is central of
+depth c, so only the words that map onto a basis of L need testing, and
+only against generators, which costs dim L · d^c brackets for d generators.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from functools import cached_property
 from types import MappingProxyType
 
 from .exactlin import IntRow, Subspace, _as_fraction, _int_row, _kernel_rows, _primitive, _Spanner
-from .fdlie import LieAlgebra, NotNilpotentError, series, upper_centrals
+from .fdlie import LieAlgebra, NotNilpotentError, series
 from .freelie import DIM_CAP, FreeNilpotentAlgebra, _memoised, free_nilpotent, span_bracket_rows
 
 
@@ -89,41 +93,55 @@ class Presentation:
 
     @cached_property
     def epicenter(self) -> Subspace:
-        """Z*_c(L): the image in L of Z_c(F/[R, F, …, F]); z_star reads it
-        for c in {1, 2}."""
+        """Z*_c(L): the image in L of Z_c(F/C), C = [R, F, …, F].
+
+        Two facts keep the solve on dim L unknowns.  R/C lies in Z_c(F/C),
+        and F = span(W) ⊕ R for W the words of length <= k that are not
+        pivots of R_{≤k}; so Z*_c(L) is the image of Z_c(F/C) ∩ span(W).
+        Modulo Z_{t-1} the centraliser of x is a subalgebra and the
+        generators generate, so x lies in Z_c(F/C) exactly when every
+        left-normed [x, g_1, …, g_c] with generators g_i lies in C.  The
+        constraints are those dim L · d^c brackets reduced modulo C.
+        """
         F = self.ambient
         closure = self.closure
-        closed_pivots = set(closure.pivots)
-        keep = [col for col in range(F.dim) if col not in closed_pivots]
-        pos = {col: t for t, col in enumerate(keep)}
-        cls = F.nilpotency_class
-        entries = []
-        for a in range(len(keep)):
-            wa = F.weight(keep[a])
-            for b in range(a + 1, len(keep)):
-                if wa + F.weight(keep[b]) > cls:
-                    break  # weights ascend with the index
-                combo = F.bracket_indices(keep[a], keep[b])
-                if not combo:
-                    continue
-                residual = closure.reduce(combo)
-                if residual:
-                    entries.append((a, b, {pos[t]: v for t, v in residual.items()}))
-        Zc = upper_centrals(len(keep), entries, steps=self.c)[-1]
+        relation_pivots = set(self.short_relations.pivots)
+        words = [w for w in range(F.stratum_starts[self.k + 1]) if w not in relation_pivots]
+        # constraints[(s, col)][t]: coefficient of col in the residual of the
+        # s-th generator bracketing of words[t] modulo C, times scale[t],
+        # which clears the denominators of that word's residuals; so the
+        # kernel solves for x_t / scale[t], multiplied back in the push
+        constraints: dict[tuple[int, int], IntRow] = {}
+        scale = []
+        for t, w in enumerate(words):
+            level = [{w: 1}]
+            for _ in range(self.c):
+                level = [F.bracket_row_index(row, g) for row in level for g in range(F.rank)]
+            residuals = [(s, closure.reduce(row)) for s, row in enumerate(level) if row]
+            lam = math.lcm(*(v.denominator for _, res in residuals for v in res.values()))
+            scale.append(lam)
+            for s, res in residuals:
+                for col, v in res.items():
+                    constraints.setdefault((s, col), {})[t] = v.numerator * (lam // v.denominator)
+        sp = _Spanner()
+        for row in constraints.values():
+            sp.insert(row)
+        kernel = _kernel_rows(len(words), sp.canonical())
 
         pushed = []
-        for row in Zc.integer_rows():
+        for row in kernel:
             v: dict[int, Fraction] = {}
-            for t, val in row.items():
-                for r, x in self.images[keep[t]].items():
-                    n = v.get(r, 0) + val * x
-                    if n:
-                        v[r] = n
-                    else:
-                        del v[r]
-            if v:
-                pushed.append(v)
-        return Subspace(self.algebra.dim, pushed)
+            for t, y in row.items():
+                for r, x in self.images[words[t]].items():
+                    v[r] = v.get(r, 0) + y * scale[t] * x
+            pushed.append(v)
+        Z = Subspace(self.algebra.dim, pushed)
+        if Z.rank != len(kernel):
+            raise PresentationError(
+                f"{self.algebra.name}: {len(kernel)} independent solutions on the words "
+                f"off R_{{≤k}} map to rank {Z.rank} in L, but those words map to a basis of L"
+            )
+        return Z
 
 
 @dataclass(frozen=True)
@@ -263,21 +281,27 @@ def nilpotent_multiplier(
     c = 1 is the Schur multiplier.  Weights c >= 3 grow the ambient algebra
     quickly, so they sit behind ``opt_in_high_weight``.
     """
+    _check_weight(c, opt_in_high_weight)
+    return present(L, c, lift=lift, dim_cap=dim_cap).multiplier
+
+
+def z_star(
+    L: LieAlgebra, c: int, *, opt_in_high_weight: bool = False, dim_cap: int = DIM_CAP
+) -> Subspace:
+    """The c-epicenter: image in L of Z_c(ambient/[R̄,F,…,F]) (c bracketings).
+
+    L is c-capable (a quotient H/Z_c(H)) exactly when this vanishes.
+    Weights c >= 3 sit behind ``opt_in_high_weight``, as for the multiplier.
+    """
+    _check_weight(c, opt_in_high_weight)
+    return present(L, c, dim_cap=dim_cap).epicenter
+
+
+def _check_weight(c: int, opt_in_high_weight: bool) -> None:
     if c < 1:
         raise ValueError("multiplier weight c must be >= 1")
     if c > 2 and not opt_in_high_weight:
         raise ValueError("c >= 3 requires opt_in_high_weight=True (ambient dimension grows fast)")
-    return present(L, c, lift=lift, dim_cap=dim_cap).multiplier
-
-
-def z_star(L: LieAlgebra, c: int, *, dim_cap: int = DIM_CAP) -> Subspace:
-    """The c-epicenter: image in L of Z_c(ambient/[R̄,F,…,F]) (c bracketings).
-
-    L is c-capable (a quotient H/Z_c(H)) exactly when this vanishes.
-    """
-    if c not in (1, 2):
-        raise ValueError("epicenters are computed for c in {1, 2}")
-    return present(L, c, dim_cap=dim_cap).epicenter
 
 
 def is_capable(L: LieAlgebra) -> bool:

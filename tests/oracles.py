@@ -24,6 +24,8 @@ reaches the same numbers by a structurally different route:
   the generator images of ``present``, and the ``upper_centrals`` loop.
   They read an algebra only through ``bracket_basis``; the last three still
   solve with nilmult's elimination engine, which has tests of its own.
+* ``epicenter_by_upper_centrals`` is the epicenter from Z_c of the whole
+  of F/[R, F, ..., F], which the solve on a basis of L replaced.
 """
 
 from __future__ import annotations
@@ -473,3 +475,48 @@ def upper_centrals_by_fractions(n: int, entries, steps=None):
     while steps is not None and len(chain) < steps:
         chain.append(chain[-1])
     return chain
+
+
+# ---------------------------------------------------------------------------
+# Reference epicenter
+
+
+def epicenter_by_upper_centrals(pres):
+    """Z*_c(L) from the whole algebra F/C, C = [R, F, ..., F].
+
+    It writes out the structure table of F/C on the words off the pivots
+    of C, every kept pair with weight sum within the class reduced modulo
+    C, takes Z_c of that table with ``upper_centrals`` and pushes it into
+    L through the presentation's images.  Its unknowns are all of F/C, not
+    a basis of L, and it tests every word, not only the generators.
+    """
+    from nilmult.exactlin import Subspace
+    from nilmult.fdlie import upper_centrals
+
+    F = pres.ambient
+    closure = pres.closure
+    closed_pivots = set(closure.pivots)
+    keep = [col for col in range(F.dim) if col not in closed_pivots]
+    pos = {col: t for t, col in enumerate(keep)}
+    cls = F.nilpotency_class
+    entries = []
+    for a in range(len(keep)):
+        wa = F.weight(keep[a])
+        for b in range(a + 1, len(keep)):
+            if wa + F.weight(keep[b]) > cls:
+                break  # weights ascend with the index
+            combo = F.bracket_indices(keep[a], keep[b])
+            if not combo:
+                continue
+            residual = closure.reduce(combo)
+            if residual:
+                entries.append((a, b, {pos[t]: v for t, v in residual.items()}))
+    Zc = upper_centrals(len(keep), entries, steps=pres.c)[-1]
+    pushed = []
+    for row in Zc.integer_rows():
+        v: dict[int, Fraction] = {}
+        for t, val in row.items():
+            for r, x in pres.images[keep[t]].items():
+                v[r] = v.get(r, 0) + val * x
+        pushed.append(v)
+    return Subspace(pres.algebra.dim, pushed)

@@ -171,6 +171,28 @@ class TestCapable:
         data = json.loads(out)
         assert data == {"algebra": "H(1)", "c": 1, "capable": True, "dim_z_star": 0}
 
+    def test_high_weight_needs_flag(self, capsys, h1_file):
+        code, out, err = run(capsys, "capable", h1_file, "--c", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "--opt-in-c3" in err
+
+    def test_high_weight_with_flag(self, capsys, tmp_path, h1_file):
+        code, out, _ = run(capsys, "capable", h1_file, "--c", "3", "--opt-in-c3")
+        assert code == 0
+        assert "H(1): 3-capable (Z*_3 = 0)" in out
+        path = tmp_path / "h2.json"
+        fdlie.dump(fdlie.heisenberg(2), path)
+        code, out, _ = run(capsys, "capable", str(path), "--c", "3", "--opt-in-c3", "--json")
+        assert code == 0
+        assert json.loads(out) == {"algebra": "H(2)", "c": 3, "capable": False, "dim_z_star": 1}
+
+    def test_weight_must_be_positive(self, capsys, h1_file):
+        code, _, err = run(capsys, "capable", h1_file, "--c", "0")
+        assert code == 2
+        assert err.startswith("error:")
+
 
 class TestVerifyPaper:
     def test_reduced_run_passes(self, capsys):

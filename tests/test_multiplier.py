@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nilmult
-from nilmult import fdlie, multiplier
+from nilmult import fdlie, multiplier, verify
 from nilmult.exactlin import Subspace
 from nilmult.fdlie import LieAlgebra, NotNilpotentError, abelian, direct_sum, heisenberg, series
 from nilmult.freelie import DIM_CAP, MEMO_SIZE, FreeNilpotentAlgebra, clear_caches, free_nilpotent, witt
@@ -381,6 +381,144 @@ class TestZStar:
     def test_monotone_in_weight(self, corpus):
         for L in corpus:
             assert z_star(L, 2).contains_subspace(z_star(L, 1)), L.name
+
+    def test_weight_three_with_opt_in(self, h1, h2):
+        assert z_star(h1, 3, opt_in_high_weight=True).is_zero
+        # the line of z, the last basis vector of H(2)
+        assert z_star(h2, 3, opt_in_high_weight=True) == Subspace.coordinate_span(5, [4])
+        assert z_star(abelian(1), 3, opt_in_high_weight=True) == Subspace.full(1)
+
+
+def epicenter_shapes() -> list[LieAlgebra]:
+    """The corpus plus five algebras of class 2 to 4, each also moved to a
+    random basis."""
+    shapes = [abelian(n) for n in range(1, 7)]
+    shapes += [heisenberg(m) for m in range(1, 4)]
+    shapes += [
+        direct_sum(heisenberg(1), abelian(1)),
+        direct_sum(heisenberg(2), abelian(1)),
+        # Z*_c is one line from two words whose residuals clear different
+        # denominators in a random basis
+        direct_sum(heisenberg(2), heisenberg(1)),
+        fdlie.from_free_nilpotent(FreeNilpotentAlgebra(2, 3), "N(2,3)"),
+        fdlie.from_free_nilpotent(FreeNilpotentAlgebra(2, 4), "N(2,4)"),
+        fdlie.from_free_nilpotent(FreeNilpotentAlgebra(3, 3), "N(3,3)"),
+        direct_sum(heisenberg(1), fdlie.from_free_nilpotent(FreeNilpotentAlgebra(2, 3), "N(2,3)")),
+    ]
+    rng = random.Random(808)
+    return shapes + [fdlie.random_basis_change(L, rng, name=f"moved-{L.name}") for L in shapes]
+
+
+class TestEpicenterSolve:
+    """Z*_c solved on the words that map to a basis of L, against Z_c of
+    the whole of F/[R, F, ..., F]."""
+
+    @pytest.mark.parametrize("c", [1, 2])
+    def test_matches_upper_centrals_of_the_quotient(self, c):
+        for L in epicenter_shapes():
+            pres = present(L, c)
+            assert pres.epicenter == oracles.epicenter_by_upper_centrals(pres), (L.name, c)
+
+    def test_weight_three_matches_on_small_algebras(self):
+        for L in epicenter_shapes():
+            if L.dim <= 4:
+                pres = present(L, 3)
+                assert pres.epicenter == oracles.epicenter_by_upper_centrals(pres), L.name
+
+    def test_fractional_lifts_match(self):
+        rng = random.Random(31)
+        for L in epicenter_shapes()[::2]:
+            lift = [
+                {i: x * (F(1, 2) if t % 2 else F(-2, 3)) for i, x in v.items()}
+                for t, v in enumerate(random_lift(L, rng))
+            ]
+            for c in (1, 2):
+                pres = present(L, c, lift=lift)
+                assert pres.epicenter == oracles.epicenter_by_upper_centrals(pres) == z_star(L, c), (L.name, c)
+
+    def test_solve_brackets_only_generators(self, monkeypatch):
+        # with the closure built, Z*_2(H(4)) reduces at most one bracket
+        # [w, g_1, g_2] per word w of a basis of L and pair of generators
+        clear_caches()
+        pres = present(heisenberg(4), 2)
+        pres.closure
+        calls = {"upper_centrals": 0, "reduce": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for module in (fdlie, multiplier):
+            if hasattr(module, "upper_centrals"):
+                monkeypatch.setattr(module, "upper_centrals", counting("upper_centrals", module.upper_centrals))
+        monkeypatch.setattr(Subspace, "reduce", counting("reduce", Subspace.reduce))
+        assert pres.epicenter == series(heisenberg(4)).gamma(2)
+        assert calls["upper_centrals"] == 0
+        assert 0 < calls["reduce"] <= 9 * 8**2
+
+    def test_lost_rank_raises_presentation_error(self):
+        # Z*_1(H(2)⊕H(2)) is spanned by the images of the two words of
+        # length 2 off R_{≤2}; sending both to one vector loses a dimension
+        L = direct_sum(heisenberg(2), heisenberg(2))
+        pres = present(L, 1)
+        F = pres.ambient
+        pivots = set(pres.short_relations.pivots)
+        a, b = [w for w in range(F.stratum_starts[2], F.stratum_starts[3]) if w not in pivots]
+        images = list(pres.images)
+        images[b] = images[a]
+        bad = Presentation(F, pres.short_relations, pres.k, 1, L, tuple(images))
+        with pytest.raises(PresentationError, match="rank"):
+            bad.epicenter
+
+
+class TestCentralLineCriterion:
+    """Theorem 3.2: a central line I lies in Z*_c(L) exactly when
+    dim M^(c)(L/I) = dim M^(c)(L) + dim(I ∩ γ_{c+1}(L))."""
+
+    @staticmethod
+    def check(algebras, weights) -> tuple[int, int]:
+        lines = inside = 0
+        for L in algebras:
+            for c in weights:
+                z = z_star(L, c, opt_in_high_weight=True)
+                m = nilpotent_multiplier(L, c, opt_in_high_weight=True).dimension
+                gamma = series(L).gamma(c + 1)
+                for I in verify.central_lines(L, random.Random(5)):
+                    quot = nilpotent_multiplier(fdlie.quotient(L, I), c, opt_in_high_weight=True)
+                    assert z.contains_subspace(I) == (quot.dimension == m + I.intersect(gamma).rank), \
+                        (L.name, c, I.integer_rows())
+                    lines += 1
+                    inside += z.contains_subspace(I)
+        return lines, inside
+
+    @staticmethod
+    def algebras() -> list[LieAlgebra]:
+        n23 = fdlie.from_free_nilpotent(FreeNilpotentAlgebra(2, 3), "N(2,3)")
+        extra = [
+            n23,
+            fdlie.from_free_nilpotent(FreeNilpotentAlgebra(2, 4), "N(2,4)"),
+            fdlie.from_free_nilpotent(FreeNilpotentAlgebra(3, 2), "N(3,2)"),
+            direct_sum(heisenberg(1), n23),
+            direct_sum(heisenberg(2), heisenberg(1)),
+        ]
+        moved = [
+            heisenberg(1), heisenberg(2), heisenberg(3), *extra,
+            direct_sum(heisenberg(2), abelian(1)), direct_sum(heisenberg(1), abelian(2)),
+        ]
+        rng = random.Random(77)
+        return verify.corpus(5, 3) + extra + [
+            fdlie.random_basis_change(L, rng, name=f"moved-{L.name}") for L in moved
+        ]
+
+    def test_weights_one_and_two(self):
+        lines, inside = self.check(self.algebras(), (1, 2))
+        assert lines > 250 and inside > 10
+
+    def test_weight_three(self):
+        lines, inside = self.check([L for L in self.algebras() if L.dim <= 5], (3,))
+        assert lines > 50 and inside > 0
 
 
 class TestClosureMemo:
