@@ -41,7 +41,6 @@ from .multiplier import (
     derived_dim_one_m2,
     direct_sum_m2,
     eq1_bound,
-    formula_oracle,
     heisenberg_m2,
     is_capable,
     is_two_capable,

@@ -8,13 +8,18 @@ the unique fully reduced (canonical) basis of such rows inside a fixed
 ambient coordinate space, so equal subspaces compare equal structurally, and
 it keeps a pivot -> row index so that reducing a vector touches only the
 pivots the vector hits.
+
+Every kernel the package needs (the relation kernel of a presentation, the
+epicenter's constraints, each term of the upper central series) is one
+solve, ``_kernel_of_map``: the unknowns' images are written out and the
+null space of that map is read off the reduced constraint rows.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 
 Coeff = int | Fraction
 IntRow = dict[int, int]  # sparse row, no explicit zeros
@@ -139,13 +144,19 @@ def _kernel_rows(n: int, canonical_rows: list[IntRow]) -> list[IntRow]:
 
     The solution for free column f has its lowest entry on a pivot of the
     constraints whenever one of them hits f, so two solutions can share a
-    leading column; they are put into canonical form before returning.
+    leading column; they are put into canonical form before returning.  A
+    column that no constraint hits gives the unit row e_f, which no other
+    solution touches, so it skips that step.
     """
     by_pivot = {min(r): r for r in canonical_rows}
     free_cols = [c for c in range(n) if c not in by_pivot]
+    units = []
     sp = _Spanner()
     for f in free_cols:
         hits = [(p, r) for p, r in by_pivot.items() if f in r]
+        if not hits:
+            units.append({f: 1})
+            continue
         scale = 1
         for p, r in hits:
             scale = scale * r[p] // math.gcd(scale, r[p])
@@ -153,7 +164,34 @@ def _kernel_rows(n: int, canonical_rows: list[IntRow]) -> list[IntRow]:
         for p, r in hits:
             vec[p] = -r[f] * (scale // r[p])
         sp.insert(vec)
-    return sp.canonical()
+    return sorted([*units, *sp.canonical()], key=min)
+
+
+def _kernel_of_map(images: Sequence[Mapping[Hashable, Coeff]]) -> list[IntRow]:
+    """Canonical basis rows of {x : Σ_t x_t · images[t] = 0}.
+
+    ``images[t]`` is the sparse image of unknown t, over any hashable
+    coordinates.  Unknown t is cleared of denominators by its own scale s_t,
+    so the solve runs on integers in y_t = x_t / s_t; each kernel row is
+    scaled back, which keeps a fully reduced row fully reduced.
+    """
+    scale = []
+    constraints: dict[Hashable, IntRow] = {}
+    for t, image in enumerate(images):
+        s = math.lcm(*[v.denominator for v in image.values() if type(v) is not int])
+        scale.append(s)
+        for col, v in image.items():
+            if s != 1 or type(v) is not int:
+                v = v.numerator * (s // v.denominator)
+            if v:
+                constraints.setdefault(col, {})[t] = v
+    sp = _Spanner()
+    for row in constraints.values():
+        sp.insert(row)
+    kernel = _kernel_rows(len(images), sp.canonical())
+    if max(scale, default=1) > 1:
+        kernel = [_primitive({t: y * scale[t] for t, y in row.items()}) for row in kernel]
+    return kernel
 
 
 class Subspace:
@@ -287,6 +325,10 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
+        if self.is_zero:
+            return other
+        if other.is_zero:
+            return self
         sp = _Spanner()
         for r in self._rows:
             sp.insert(dict(r))

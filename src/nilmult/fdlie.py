@@ -14,12 +14,12 @@ import json
 import math
 import random
 import re
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .exactlin import IntRow, Subspace, _kernel_rows, _Spanner, _as_fraction
+from .exactlin import IntRow, Subspace, _Spanner, _as_fraction, _kernel_of_map
 from .freelie import FreeNilpotentAlgebra
 
 Combo = dict[int, Fraction]
@@ -68,7 +68,7 @@ class LieAlgebra:
     """Lie algebra on a finite ordered basis with exact rational brackets,
     held as integer numerators over the common denominator ``den``."""
 
-    __slots__ = ("name", "dim", "basis_labels", "den", "_num", "_fingerprint")
+    __slots__ = ("name", "dim", "basis_labels", "den", "_num", "_fingerprint", "_lower")
 
     def __init__(
         self,
@@ -97,6 +97,7 @@ class LieAlgebra:
             for pair in sorted(table)
         }
         self._fingerprint = None
+        self._lower: tuple[Subspace, ...] | None = None  # kept by series()
         if check:
             self._check_jacobi()
 
@@ -249,8 +250,9 @@ def from_free_nilpotent(F: FreeNilpotentAlgebra, name: str | None = None, *, che
 class SeriesReport:
     """Lower and upper central series, each listed until stabilisation.
 
-    The upper series is computed on first access: most callers read only
-    the lower one.
+    The lower series is computed once per algebra and kept on it; the upper
+    series is computed on first access, since most callers read only the
+    lower one.
     """
 
     lower: tuple[Subspace, ...]  # γ₁, γ₂, … (last term repeated no further)
@@ -260,9 +262,7 @@ class SeriesReport:
     @cached_property
     def upper(self) -> tuple[Subspace, ...]:
         """Z₁, Z₂, … until stabilisation."""
-        L = self.algebra
-        entries = ((i, j, combo) for (i, j), combo in L._num.items())
-        return tuple(upper_centrals(L.dim, entries, None)) if L.dim else ()
+        return tuple(upper_centrals(self.algebra))
 
     @property
     def is_nilpotent(self) -> bool:
@@ -302,80 +302,71 @@ def _lower_centrals(L: LieAlgebra) -> list[Subspace]:
     return chain
 
 
-def upper_centrals(
-    n: int,
-    entries: Iterable[tuple[int, int, Mapping[int, object]]],
-    steps: int | None = None,
-) -> list[Subspace]:
-    """Successive upper central terms Z₁, Z₂, … of an n-dim bracket table.
+def upper_centrals(L: LieAlgebra) -> list[Subspace]:
+    """Z₁, Z₂, … of L until the series stabilises (the repeat is dropped).
 
-    ``entries`` lists (i, j, [e_i,e_j]) with each pair in one orientation
-    only, scaled once to integers.  Terms are produced as kernels of growing
-    constraint matrices: Z_{t+1} = {x : [x, e_j] ∈ Z_t for all j}.  With
-    ``steps=None`` the chain runs until it stabilises, otherwise exactly
-    ``steps`` terms are returned.  Its one caller in the engine is
-    ``SeriesReport.upper``.
+    Each term is one kernel solve.  Z_{t+1} = {x : [x, e_j] ∈ Z_t for all j}
+    contains Z_t, and the basis vectors off the pivots of Z_t span a
+    complement of it, so Z_{t+1} is Z_t plus the kernel of
+    x ↦ ([x, e_j] mod Z_t)_j on those basis vectors.  Only the stored pairs
+    of the table give non-zero brackets, and a bracket's residue modulo Z_t
+    is read off the residues of the basis vectors, so the solve stays on
+    integers.  Its one caller in the engine is ``SeriesReport.upper``.
     """
-    entries = list(entries)
-    den = math.lcm(*(c.denominator for _, _, combo in entries for c in combo.values()))
-    # ad-rows: adrows[(k, j)][i] = den · coefficient of e_k in [e_i, e_j]
-    adrows: dict[tuple[int, int], IntRow] = {}
-
-    def add(k, j, i, c):
-        row = adrows.setdefault((k, j), {})
-        s = row.get(i, 0) + c
-        if s:
-            row[i] = s
-        else:
-            del row[i]
-
-    for i, j, combo in entries:
-        for k, c in combo.items():
-            c = c.numerator * (den // c.denominator)
-            add(k, j, i, c)
-            add(k, i, j, -c)
-
+    n = L.dim
+    # pairs[i]: (j, den·[e_i, e_j]) for every stored pair joining i and j
+    pairs: list[list[tuple[int, IntRow]]] = [[] for _ in range(n)]
+    for (i, j), combo in L._num.items():
+        pairs[i].append((j, combo))
+        pairs[j].append((i, {k: -v for k, v in combo.items()}))
     chain: list[Subspace] = []
-    sp = _Spanner()
-    for row in adrows.values():
-        sp.insert(row)
-    while True:
-        constraints = sp.canonical()
-        Z = Subspace._from_rows(n, _kernel_rows(n, constraints))
-        if steps is None and chain and Z.rank == chain[-1].rank:
-            break  # stabilised; drop the repeat
+    Z = Subspace.zero(n)
+    while Z.rank < n:
+        # residue[p] = s·(e_p mod Z) for each pivot p of Z, s the lcm of its
+        # pivot entries: minus the rest of p's row; any other e_k is its own
+        # residue, times s
+        rows = Z.integer_rows()
+        s = math.lcm(*(row[p] for p, row in zip(Z.pivots, rows)))
+        residue = {
+            p: {q: -v * (s // row[p]) for q, v in row.items() if q != p} for p, row in zip(Z.pivots, rows)
+        }
+        free = [i for i in range(n) if i not in residue]
+        # the image of e_i holds s·([e_i, e_j] mod Z) at the coordinates j·n + q
+        images = []
+        for i in free:
+            image: dict[int, int] = {}
+            for j, combo in pairs[i]:
+                at = j * n
+                for k, c in combo.items():
+                    res = residue.get(k)
+                    if res is None:
+                        image[at + k] = image.get(at + k, 0) + c * s
+                    else:
+                        for q, v in res.items():
+                            image[at + q] = image.get(at + q, 0) + c * v
+            images.append(image)
+        kernel = _kernel_of_map(images)
+        K = Subspace._from_rows(n, [{free[t]: y for t, y in row.items()} for row in kernel])
+        if chain and K.is_zero:
+            break
+        # K meets Z only in 0: once the ranks add up to dim L, Z_{t+1} is L
+        Z = Z.sum(K) if Z.rank + K.rank < n else Subspace.full(n)
         chain.append(Z)
-        if steps is not None and len(chain) == steps:
-            break
-        if Z.rank == n or (len(chain) >= 2 and Z.rank == chain[-2].rank):
-            break
-        sp = _Spanner()
-        for m in constraints:
-            for j in range(n):
-                row: IntRow = {}
-                for k, mk in m.items():
-                    ad = adrows.get((k, j))
-                    if not ad:
-                        continue
-                    for i, c in ad.items():
-                        s = row.get(i, 0) + mk * c
-                        if s:
-                            row[i] = s
-                        else:
-                            del row[i]
-                sp.insert(row)
-    while steps is not None and len(chain) < steps:
-        chain.append(chain[-1])
     return chain
 
 
 def series(L: LieAlgebra) -> SeriesReport:
-    """Lower and upper central series with the nilpotency class, if any."""
-    lower = _lower_centrals(L)
+    """Lower and upper central series with the nilpotency class, if any.
+
+    The lower terms are kept on L, so every later call reuses them.
+    """
+    if L._lower is None:
+        L._lower = tuple(_lower_centrals(L))
+    lower = L._lower
     nil_class = None
     if lower[-1].rank == 0:
         nil_class = len(lower) - 1
-    return SeriesReport(tuple(lower), nil_class, L)
+    return SeriesReport(lower, nil_class, L)
 
 
 def quotient(L: LieAlgebra, ideal: Subspace) -> LieAlgebra:

@@ -253,23 +253,6 @@ class FreeNilpotentAlgebra:
                     del out[k]
         return out
 
-    def bracket_vectors(self, x: Mapping[int, object], y: Mapping[int, object]) -> dict[int, object]:
-        """[x, y] for sparse vectors with int or Fraction coefficients."""
-        out: dict = {}
-        for i, xi in x.items():
-            for j, yj in y.items():
-                combo = self.bracket_indices(i, j)
-                if not combo:
-                    continue
-                s = xi * yj
-                for k, ck in combo.items():
-                    n = out.get(k, 0) + s * ck
-                    if n:
-                        out[k] = n
-                    else:
-                        del out[k]
-        return out
-
     def gamma(self, k: int) -> Subspace:
         """The k-th term of the lower central series as a coordinate subspace."""
         if k < 1:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 
-from .exactlin import IntRow, Subspace, _as_fraction, _int_row, _kernel_rows, _primitive, _Spanner
+from .exactlin import IntRow, Subspace, _as_fraction, _int_row, _kernel_of_map, _Spanner
 from .fdlie import LieAlgebra, NotNilpotentError, series
 from .freelie import DIM_CAP, FreeNilpotentAlgebra, _memoised, free_nilpotent, span_bracket_rows
 
@@ -89,7 +89,7 @@ class Presentation:
                 f"{self.algebra.name}: {len(words)} Hall words outside the closure, "
                 f"but the quotient has dimension {dimension}"
             )
-        return MultiplierReport(self.c, dimension, words, self)
+        return MultiplierReport(self.c, dimension, words)
 
     @cached_property
     def epicenter(self) -> Subspace:
@@ -107,33 +107,23 @@ class Presentation:
         closure = self.closure
         relation_pivots = set(self.short_relations.pivots)
         words = [w for w in range(F.stratum_starts[self.k + 1]) if w not in relation_pivots]
-        # constraints[(s, col)][t]: coefficient of col in the residual of the
-        # s-th generator bracketing of words[t] modulo C, times scale[t],
-        # which clears the denominators of that word's residuals; so the
-        # kernel solves for x_t / scale[t], multiplied back in the push
-        constraints: dict[tuple[int, int], IntRow] = {}
-        scale = []
-        for t, w in enumerate(words):
+        # the image of words[t]: its s-th generator bracketing modulo C at (s, col)
+        residuals = []
+        for w in words:
             level = [{w: 1}]
             for _ in range(self.c):
                 level = [F.bracket_row_index(row, g) for row in level for g in range(F.rank)]
-            residuals = [(s, closure.reduce(row)) for s, row in enumerate(level) if row]
-            lam = math.lcm(*(v.denominator for _, res in residuals for v in res.values()))
-            scale.append(lam)
-            for s, res in residuals:
-                for col, v in res.items():
-                    constraints.setdefault((s, col), {})[t] = v.numerator * (lam // v.denominator)
-        sp = _Spanner()
-        for row in constraints.values():
-            sp.insert(row)
-        kernel = _kernel_rows(len(words), sp.canonical())
+            residuals.append(
+                {(s, col): v for s, row in enumerate(level) if row for col, v in closure.reduce(row).items()}
+            )
+        kernel = _kernel_of_map(residuals)
 
         pushed = []
         for row in kernel:
             v: dict[int, Fraction] = {}
             for t, y in row.items():
                 for r, x in self.images[words[t]].items():
-                    v[r] = v.get(r, 0) + y * scale[t] * x
+                    v[r] = v.get(r, 0) + y * x
             pushed.append(v)
         Z = Subspace(self.algebra.dim, pushed)
         if Z.rank != len(kernel):
@@ -149,7 +139,6 @@ class MultiplierReport:
     c: int
     dimension: int
     basis_words: tuple[str, ...]
-    presentation: Presentation
 
 
 # one image shared by every ambient word too long to reach L
@@ -216,11 +205,11 @@ def _present(L: LieAlgebra, c: int, lift, dim_cap: int) -> Presentation:
     # kernel is solved on the words of length <= k alone
     short, live = F.stratum_starts[k + 1], F.stratum_starts[k + 2]
     # ints[w]: λ^l·den^(l-1) times the image of w, of length l, where λ is
-    # the lift's common denominator; rows: relation rows times λ^k·den^(k-1)
+    # the lift's common denominator; scaled by unit^(k-l) they share the
+    # factor λ^k·den^(k-1), so the kernel is solved on integers
     unit = lam * L.den
     ints: list[IntRow] = []
-    rows: list[IntRow] = [{} for _ in range(L.dim)]
-    for col, w in enumerate(F.basis[:live]):
+    for w in F.basis[:live]:
         img = gens[w.gen] if w.is_generator else L._ibracket(ints[w.left.key], ints[w.right.key])
         if img and w.length > k:
             raise PresentationError(
@@ -228,20 +217,16 @@ def _present(L: LieAlgebra, c: int, lift, dim_cap: int) -> Presentation:
                 f"in an algebra of class {k}"
             )
         ints.append(img)
-        for r, v in img.items():
-            rows[r][col] = v * unit ** (k - w.length)
     images = [
         {r: Fraction(v, unit ** w.length // L.den) for r, v in img.items()}
         for w, img in zip(F.basis, ints)
     ]
     images.extend([_ZERO_IMAGE] * (F.dim - live))
 
-    sp = _Spanner()
-    for row in rows:
-        sp.insert(_primitive(row))
-    if sp.rank != L.dim:
-        raise ValueError("lift images fail to generate L")  # cannot happen for a valid lift
-    short_relations = Subspace._from_rows(F.dim, _kernel_rows(short, sp.canonical()))
+    scaled = [
+        {r: v * unit ** (k - w.length) for r, v in img.items()} for w, img in zip(F.basis[:short], ints)
+    ]
+    short_relations = Subspace._from_rows(F.dim, _kernel_of_map(scaled))
     return Presentation(F, short_relations, k, c, L, tuple(images))
 
 
@@ -360,23 +345,6 @@ def direct_sum_m2(dim_m2_a: int, dim_m2_b: int, a: int, b: int) -> int:
     if min(dim_m2_a, dim_m2_b, a, b) < 0:
         raise ValueError("all arguments must be >= 0")
     return dim_m2_a + dim_m2_b + a * a * b + b * b * a
-
-
-_ORACLES = {
-    "abelian_m2": abelian_m2,
-    "schur_heisenberg": schur_heisenberg,
-    "heisenberg_m2": heisenberg_m2,
-    "derived_dim_one_m2": derived_dim_one_m2,
-    "direct_sum_m2": direct_sum_m2,
-}
-
-
-def formula_oracle(kind: str, **params) -> int:
-    try:
-        fn = _ORACLES[kind]
-    except KeyError:
-        raise ValueError(f"unknown oracle kind {kind!r}; known: {sorted(_ORACLES)}") from None
-    return fn(**params)
 
 
 # --- bounds ------------------------------------------------------------------

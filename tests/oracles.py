@@ -25,7 +25,10 @@ reaches the same numbers by a structurally different route:
   They read an algebra only through ``bracket_basis``; the last three still
   solve with nilmult's elimination engine, which has tests of its own.
 * ``epicenter_by_upper_centrals`` is the epicenter from Z_c of the whole
-  of F/[R, F, ..., F], which the solve on a basis of L replaced.
+  of F/[R, F, ..., F], which the solve on a basis of L replaced; it takes
+  Z_c with the ``Fraction`` ad-row loop above.
+* ``kernel_by_fractions`` is plain ``Fraction`` Gauss-Jordan elimination,
+  the reference for the one kernel solve ``_kernel_of_map``.
 """
 
 from __future__ import annotations
@@ -156,7 +159,7 @@ def expand_combination(combo, basis, max_degree: int) -> AssocPoly:
 
 
 # ---------------------------------------------------------------------------
-# Hand-derived closed forms (independent of the package's formula_oracle)
+# Hand-derived closed forms (independent of the package's closed forms)
 
 
 def abelian_two_multiplier(n: int) -> int:
@@ -486,12 +489,12 @@ def epicenter_by_upper_centrals(pres):
 
     It writes out the structure table of F/C on the words off the pivots
     of C, every kept pair with weight sum within the class reduced modulo
-    C, takes Z_c of that table with ``upper_centrals`` and pushes it into
-    L through the presentation's images.  Its unknowns are all of F/C, not
-    a basis of L, and it tests every word, not only the generators.
+    C, takes Z_c of that table with ``upper_centrals_by_fractions`` and
+    pushes it into L through the presentation's images.  Its unknowns are
+    all of F/C, not a basis of L, and it tests every word, not only the
+    generators.
     """
     from nilmult.exactlin import Subspace
-    from nilmult.fdlie import upper_centrals
 
     F = pres.ambient
     closure = pres.closure
@@ -511,7 +514,7 @@ def epicenter_by_upper_centrals(pres):
             residual = closure.reduce(combo)
             if residual:
                 entries.append((a, b, {pos[t]: v for t, v in residual.items()}))
-    Zc = upper_centrals(len(keep), entries, steps=pres.c)[-1]
+    Zc = upper_centrals_by_fractions(len(keep), entries, steps=pres.c)[-1]
     pushed = []
     for row in Zc.integer_rows():
         v: dict[int, Fraction] = {}
@@ -520,3 +523,50 @@ def epicenter_by_upper_centrals(pres):
                 v[r] = v.get(r, 0) + val * x
         pushed.append(v)
     return Subspace(pres.algebra.dim, pushed)
+
+
+# ---------------------------------------------------------------------------
+# Reference kernel
+
+
+def kernel_by_fractions(images) -> list[dict[int, Fraction]]:
+    """RREF basis of {x : sum_t x_t * images[t] = 0} by Fraction Gauss-Jordan.
+
+    The constraint matrix has one row per coordinate that some image uses
+    and one column per unknown.  Each free column f of its RREF gives the
+    solution with 1 at f and minus the pivot rows' entries at f on their
+    pivots; those solutions lead with a pivot, not with f, so they are
+    brought to RREF once more.
+    """
+    n = len(images)
+    coords = list(dict.fromkeys(col for image in images for col in image))
+    rows, pivots = _gauss_jordan([[Fraction(image.get(col, 0)) for image in images] for col in coords], n)
+    solutions = []
+    for f in range(n):
+        if f not in pivots:
+            vec = [Fraction(0)] * n
+            vec[f] = Fraction(1)
+            for row, p in zip(rows, pivots):
+                vec[p] = -row[f]
+            solutions.append(vec)
+    return [{c: v for c, v in enumerate(row) if v} for row in _gauss_jordan(solutions, n)[0]]
+
+
+def _gauss_jordan(matrix, n: int):
+    """(non-zero rows, pivot columns) of the RREF of dense Fraction rows."""
+    matrix = [list(row) for row in matrix]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(matrix)) if matrix[i][c]), None)
+        if hit is None:
+            continue
+        matrix[r], matrix[hit] = matrix[hit], matrix[r]
+        lead = matrix[r][c]
+        matrix[r] = [v / lead for v in matrix[r]]
+        for i in range(len(matrix)):
+            if i != r and matrix[i][c]:
+                f = matrix[i][c]
+                matrix[i] = [a - f * b for a, b in zip(matrix[i], matrix[r])]
+        pivots.append(c)
+    return matrix[:len(pivots)], pivots

@@ -1,12 +1,13 @@
 """Exact rational linear algebra: row reduction, kernels, lattice operations."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilmult.exactlin import ContainmentError, Subspace, _kernel_rows
+from nilmult.exactlin import ContainmentError, Subspace, _kernel_of_map, _kernel_rows
 from nilmult.fdlie import from_free_nilpotent, heisenberg, random_basis_change, upper_centrals
 from nilmult.freelie import free_nilpotent
 from nilmult.multiplier import present, subideal_bracket
@@ -243,6 +244,41 @@ def test_reduce_matches_reference(data):
     assert Subspace(dim, list(S.integer_rows()) + [diff]).rank == S.rank
 
 
+# images of up to seven unknowns over int and tuple coordinates, with int
+# and Fraction values (zeros included), empty images and all-zero maps
+_image = st.dictionaries(
+    st.one_of(st.integers(min_value=0, max_value=3), st.tuples(st.integers(0, 2), st.integers(0, 2))),
+    st.one_of(st.integers(min_value=-3, max_value=3), _small_fraction),
+    max_size=4,
+)
+
+
+class TestKernelOfMap:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_image, max_size=7))
+    def test_matches_fraction_gauss_jordan(self, images):
+        rows = _kernel_of_map(images)
+        rref = [{t: F(y, r[min(r)]) for t, y in r.items()} for r in rows]
+        assert rref == oracles.kernel_by_fractions(images)
+        for r in rows:
+            assert r[min(r)] > 0 and math.gcd(*r.values()) == 1
+            image = {}
+            for t, y in r.items():
+                for col, v in images[t].items():
+                    image[col] = image.get(col, 0) + y * v
+            assert not any(image.values())
+
+    def test_hand_cases(self):
+        assert _kernel_of_map([]) == []
+        assert _kernel_of_map([{}, {"a": 0}, {(1, 2): F(0)}]) == [{0: 1}, {1: 1}, {2: 1}]
+        # x0/2 + x1/3 = 0; the scales 2 and 3 are multiplied back
+        assert _kernel_of_map([{(0, 0): F(1, 2)}, {(0, 0): F(1, 3)}]) == [{0: 2, 1: -3}]
+        # equal scales: the row scaled back is made primitive again
+        assert _kernel_of_map([{0: F(1, 2)}, {0: F(-1, 2)}, {1: 1}]) == [{0: 1, 1: 1}]
+        # an int value is scaled with the Fraction values of its unknown
+        assert _kernel_of_map([{1: 1, 2: 1}, {1: 1, 2: F(1, 2)}]) == []
+
+
 class TestSubspaceBasics:
     def test_canonical_equality(self):
         a = span([2, 4, 0], [1, 2, 1], dim=3)
@@ -299,7 +335,7 @@ def _trusted_subspaces():
     yield "kernel", kernel([1, 1, 1], dim=3)
     yield "kernel 2x4", kernel([1, 2, 0, 3], [0, 1, 1, 1], dim=4)
     for L in (h2, n24):
-        for t, Z in enumerate(upper_centrals(L.dim, L.entries())):
+        for t, Z in enumerate(upper_centrals(L)):
             yield f"upper_centrals {L.name} Z{t + 1}", Z
     pres = present(heisenberg(3), 2)
     yield "present H(3) relations", pres.relations

@@ -176,7 +176,7 @@ class TestSeries:
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(args[0])
+            calls.append(args[0].dim)
             return upper_centrals(*args, **kwargs)
 
         monkeypatch.setattr(fdlie, "upper_centrals", counted)
@@ -191,9 +191,9 @@ class TestSeries:
 
     def test_upper_centrals_step_limit(self):
         h = heisenberg(2)
-        chain = upper_centrals(h.dim, list(h.entries()), steps=1)
-        assert len(chain) == 1
-        assert chain[0].rank == 1
+        chain = upper_centrals(h)
+        assert [z.rank for z in chain] == [1, 5]
+        assert series(h).z(1).rank == 1
 
     def test_z_beyond_stabilization(self):
         rep = series(abelian(2))
@@ -492,8 +492,12 @@ class TestIntegerTable:
             ])
             tables.append([(i, j, {k: 2 for k in combo}) for i, j, combo in moved.entries()])
             for entries in tables:
-                for steps in (None, 1, 2, 3):
-                    assert upper_centrals(moved.dim, entries, steps) == \
+                brackets = {(i, j): combo for i, j, combo in entries}
+                table = LieAlgebra("t", moved.basis_labels, brackets, check=False)
+                rep = series(table)
+                assert list(rep.upper) == oracles.upper_centrals_by_fractions(moved.dim, entries)
+                for steps in (1, 2, 3):
+                    assert [rep.z(t) for t in range(1, steps + 1)] == \
                         oracles.upper_centrals_by_fractions(moved.dim, entries, steps)
 
     def test_lower_series_skips_zero_brackets(self, monkeypatch):

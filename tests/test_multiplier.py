@@ -23,7 +23,6 @@ from nilmult.multiplier import (
     derived_dim_one_m2,
     direct_sum_m2,
     eq1_bound,
-    formula_oracle,
     heisenberg_m2,
     is_capable,
     is_two_capable,
@@ -308,7 +307,7 @@ class TestNilpotentMultiplier:
             for c in (1, 2):
                 rep = nilpotent_multiplier(L, c)
                 assert len(rep.basis_words) == rep.dimension
-                ambient_words = {str(w) for w in rep.presentation.ambient.basis}
+                ambient_words = {str(w) for w in present(L, c).ambient.basis}
                 assert set(rep.basis_words) <= ambient_words
 
     def test_weight_three_needs_opt_in(self):
@@ -544,6 +543,32 @@ class TestClosureMemo:
         report(heisenberg(4), 2)
         assert [(s.ambient_dim, s.rank) for s in cold] == [(1212, 1008), (204, 168)]
 
+    def test_report_takes_the_lower_series_once(self, cold, monkeypatch):
+        calls = []
+        lower_centrals = fdlie._lower_centrals
+
+        def counted(L):
+            calls.append(L.name)
+            return lower_centrals(L)
+
+        monkeypatch.setattr(fdlie, "_lower_centrals", counted)
+        report(fdlie.random_basis_change(heisenberg(2), random.Random(3)), 2)
+        assert len(calls) == 1
+
+    def test_dropped_presentation_is_freed_without_the_cycle_collector(self, cold):
+        # nothing a presentation derives refers back to it, so emptying the
+        # memo frees it by reference counting alone
+        gc.disable()
+        try:
+            pres = present(heisenberg(2), 2)
+            assert pres.multiplier.dimension == 20
+            ref = weakref.ref(pres)
+            del pres
+            clear_caches()
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_memo_keeps_at_most_memo_size_presentations(self, cold):
         rng = random.Random(20)
         shapes = [heisenberg(1), direct_sum(heisenberg(1), abelian(1)), abelian(3)]
@@ -633,12 +658,6 @@ class TestOracles:
                 via_family = derived_dim_one_m2(n, m)
                 via_sum = direct_sum_m2(heisenberg_m2(m), abelian_m2(r), 2 * m, r)
                 assert via_family == via_sum, (m, r)
-
-    def test_dispatch(self):
-        assert formula_oracle("abelian_m2", n=4) == 20
-        assert formula_oracle("heisenberg_m2", m=2) == 20
-        with pytest.raises(ValueError):
-            formula_oracle("nope")
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
