@@ -114,15 +114,25 @@ class _Spanner:
         return len(self.rows)
 
     def insert(self, vec: IntRow) -> bool:
-        """Reduce ``vec`` against the current rows; keep it if independent."""
+        """Reduce ``vec`` against the current rows; True iff it was independent.
+
+        Where ``vec`` and a stored row share a leading column, the one with
+        fewer entries stays on that pivot and the other is reduced on, so
+        stored rows fill in more slowly.  The span is the same either way.
+        """
+        rows = self.rows
         v = vec
         while v:
             p = min(v)
-            row = self.rows.get(p)
+            row = rows.get(p)
             if row is None:
-                self.rows[p] = _primitive(dict(v))
+                rows[p] = _primitive(dict(v))
                 return True
-            v = _eliminate(v, row, p)
+            if len(v) < len(row):
+                rows[p] = _primitive(dict(v))
+                v = _eliminate(row, rows[p], p)
+            else:
+                v = _eliminate(v, row, p)
         return False
 
     def canonical(self) -> list[IntRow]:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .exactlin import IntRow, Subspace, _Spanner, _as_fraction, _kernel_of_map
-from .freelie import FreeNilpotentAlgebra
+from .freelie import FreeNilpotentAlgebra, HashedKey
 
 Combo = dict[int, Fraction]
 
@@ -68,7 +68,7 @@ class LieAlgebra:
     """Lie algebra on a finite ordered basis with exact rational brackets,
     held as integer numerators over the common denominator ``den``."""
 
-    __slots__ = ("name", "dim", "basis_labels", "den", "_num", "_fingerprint", "_lower")
+    __slots__ = ("name", "dim", "basis_labels", "den", "_num", "_fingerprint", "_memo_key", "_lower")
 
     def __init__(
         self,
@@ -97,6 +97,7 @@ class LieAlgebra:
             for pair in sorted(table)
         }
         self._fingerprint = None
+        self._memo_key: HashedKey | None = None
         self._lower: tuple[Subspace, ...] | None = None  # kept by series()
         if check:
             self._check_jacobi()
@@ -163,6 +164,13 @@ class LieAlgebra:
             items = tuple((i, j, tuple(sorted(combo.items()))) for i, j, combo in self.entries())
             self._fingerprint = (self.dim, items)
         return self._fingerprint
+
+    @property
+    def memo_key(self) -> HashedKey:
+        """Name, labels and fingerprint as one memo key, hashed once."""
+        if self._memo_key is None:
+            self._memo_key = HashedKey((self.name, self.basis_labels, self.fingerprint))
+        return self._memo_key
 
     def __repr__(self):
         return f"LieAlgebra({self.name!r}, dim={self.dim})"

@@ -12,6 +12,7 @@ to an integer combination of basis words by Jacobi rewriting.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import OrderedDict
 from typing import Iterator, Mapping, Sequence
 
@@ -265,9 +266,36 @@ class FreeNilpotentAlgebra:
         return f"FreeNilpotentAlgebra(rank={self.rank}, class={self.nilpotency_class}, dim={self.dim})"
 
 
+class HashedKey:
+    """A memo key that hashes its parts once.
+
+    An algebra's key holds its whole bracket table, a long tuple of
+    ``Fraction``s; hashing that anew on every lookup would cost more than
+    the lookup itself.
+    """
+
+    __slots__ = ("parts", "_hash")
+
+    def __init__(self, parts: tuple):
+        self.parts = parts
+        self._hash = hash(parts)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        return self is other or (
+            isinstance(other, HashedKey) and self._hash == other._hash and self.parts == other.parts
+        )
+
+
 # Least recently used first.  Keys are (rank, class) for free algebras and
-# (name, labels, fingerprint, c) for presentations, so they never collide.
+# (an algebra's HashedKey, c) for presentations, so they never collide.
 _memo: OrderedDict = OrderedDict()
+
+# What the memo's entries share, by key, for as long as some entry or caller
+# holds it: an index to live values, which keeps none of them alive.
+_shared: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _memoised(key, build):
@@ -285,9 +313,18 @@ def _memoised(key, build):
     return value
 
 
+def _shared_value(key, build):
+    """The live value shared under ``key``, or ``build()`` shared from now on."""
+    value = _shared.get(key)
+    if value is None:
+        value = _shared[key] = build()
+    return value
+
+
 def clear_caches() -> None:
     """Empty the memo of free algebras and presentations."""
     _memo.clear()
+    _shared.clear()
 
 
 def free_nilpotent(d: int, c: int, dim_cap: int = DIM_CAP) -> FreeNilpotentAlgebra:
@@ -315,11 +352,13 @@ def span_bracket_rows(
     By bilinearity this is [S, F] for S the span of ``rows``, projected.
     Each product is homogeneous in the weights of its factors, so the
     components of a row too heavy for a word are skipped before bracketing.
+    The products are inserted shortest first, so the sparse ones take the
+    pivots and the long ones mostly reduce against them.
     """
     if top is None:
         top = F.nilpotency_class
     starts = F.stratum_starts
-    sp = _Spanner()
+    products = []
     for row in rows:
         items = sorted(row.items())
         for wj in range(1, top - F.weight(items[0][0]) + 1):
@@ -328,5 +367,9 @@ def span_bracket_rows(
             for j in range(starts[wj], starts[wj + 1]):
                 prod = F.bracket_row_index(part, j)
                 if prod:
-                    sp.insert(_primitive(prod))
+                    products.append(prod)
+    products.sort(key=len, reverse=True)
+    sp = _Spanner()
+    while products:  # popped, so each product is freed once inserted
+        sp.insert(_primitive(products.pop()))
     return sp.canonical()

@@ -11,6 +11,12 @@ implicit.  That block brackets into γ_{K+1}(F) = 0, so the closure is
 [R_{≤k},F,…,F], and with r bracketings still to come only the components of
 weight at most K − r can survive: each bracketing is cut to those weights.
 
+The closures of one algebra form one chain: C_0 = R_{≤k} and
+C_t = [C_{t−1}, F(d, k+t)], one bracketing each.  The Hall basis of
+F(d, k+t−1) is a prefix of that of F(d, k+t), with the same table, so each
+C_t carries over to the next ambient unchanged.  The presentations of one
+algebra at every weight share that chain, the images and R_{≤k}.
+
 The epicenter is solved on dim L unknowns: R/[R,F,…,F] is central of
 depth c, so only the words that map onto a basis of L need testing, and
 only against generators, which costs dim L · d^c brackets for d generators.
@@ -20,15 +26,16 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 
-from .exactlin import IntRow, Subspace, _as_fraction, _int_row, _kernel_of_map, _Spanner
+from .exactlin import ContainmentError, IntRow, Subspace, _as_fraction, _int_row, _kernel_of_map, _Spanner
 from .fdlie import LieAlgebra, NotNilpotentError, series
-from .freelie import DIM_CAP, FreeNilpotentAlgebra, _memoised, free_nilpotent, span_bracket_rows
+from .freelie import DIM_CAP, FreeNilpotentAlgebra, _memoised, _shared_value, free_nilpotent, span_bracket_rows
 
 
 class PresentationError(ArithmeticError):
@@ -36,12 +43,41 @@ class PresentationError(ArithmeticError):
     guarantees for a nilpotent algebra; seeing it means a bug, not bad input."""
 
 
+class _Chain:
+    """What the presentations of one algebra share at every weight: the
+    rank d, the class k, the images of the words of length <= k + 1, and the
+    closure chain ``closures[t]`` = C_t, built as far as it has been read.
+    ``closures[0]`` is R_{≤k}, in whichever ambient the chain started in."""
+
+    __slots__ = ("d", "k", "images", "closures", "__weakref__")
+
+    def __init__(self, d: int, k: int, images: tuple, short_relations: Subspace):
+        self.d = d
+        self.k = k
+        self.images = images
+        self.closures = [short_relations]
+
+    def closure(self, F: FreeNilpotentAlgebra) -> Subspace:
+        """C_c in F = F(d, k + c), bracketing on from the last C_t built."""
+        c = F.nilpotency_class - self.k
+        closures = self.closures
+        while len(closures) <= c:
+            t = len(closures)
+            # each smaller ambient fits under any cap that F passed
+            ambient = F if t == c else free_nilpotent(self.d, self.k + t, F.dim)
+            last = Subspace._from_rows(ambient.dim, closures[-1].integer_rows())
+            closures.append(subideal_bracket(last, ambient, 1))
+        return closures[c]
+
+
 @dataclass(frozen=True, eq=False)
 class Presentation:
     """Free presentation data for a nilpotent algebra at multiplier weight c.
 
     What is derived from it (the closure, the multiplier, the epicenter) is
-    computed on first read and lives as long as the presentation does.
+    computed on first read and lives as long as the presentation does; the
+    closure comes from ``chain``, which a presentation built without one
+    starts on its own.
     """
 
     ambient: FreeNilpotentAlgebra
@@ -50,14 +86,19 @@ class Presentation:
     c: int
     algebra: LieAlgebra
     images: tuple = field(repr=False)  # image in L of each ambient basis word
+    chain: _Chain | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        short = self.ambient.stratum_starts[self.k + 1]
+        starts = self.ambient.stratum_starts
+        short = starts[self.k + 1]
         if short - self.short_relations.rank != self.algebra.dim:
             raise PresentationError(
                 f"rank-nullity fails: {short} words of length <= {self.k} minus relation rank "
                 f"{self.short_relations.rank} is not dim L = {self.algebra.dim}"
             )
+        if self.chain is None:
+            chain = _Chain(self.ambient.rank, self.k, self.images[: starts[self.k + 2]], self.short_relations)
+            object.__setattr__(self, "chain", chain)
 
     @property
     def relations(self) -> Subspace:
@@ -71,18 +112,37 @@ class Presentation:
     def closure(self) -> Subspace:
         """[R, F, …, F] with c bracketings.  The implicit block γ_{k+1}(F)
         of R brackets to zero, so only R_{≤k} is bracketed."""
-        return subideal_bracket(self.short_relations, self.ambient, self.c)
+        return self.chain.closure(self.ambient)
 
     @cached_property
     def multiplier(self) -> MultiplierReport:
-        """M^(c)(L) = (R ∩ γ_{c+1}(F)) / [R, F, …, F], with a Hall-word basis."""
+        """M^(c)(L) = (R ∩ γ_{c+1}(F)) / [R, F, …, F], with a Hall-word basis.
+
+        The numerator is R_{≤k} ∩ γ_{c+1}(F) plus the coordinate block of
+        the words of length >= max(k, c) + 1.  A closure row lies in it when
+        its pivot is in γ_{c+1}(F) and its part on the words of length <= k
+        lies in R_{≤k}; only the rows with a pivot there have such a part.
+        """
         F = self.ambient
-        numerator = self.relations.intersect_suffix(F.stratum_starts[self.c + 1])
+        starts = F.stratum_starts
+        short, gamma = starts[self.k + 1], starts[self.c + 1]
+        block = max(short, gamma)
+        numerator = self.short_relations.intersect_suffix(gamma)
         closure = self.closure
-        dimension = numerator.quotient_dim(closure)
-        closed_pivots = set(closure.pivots)
+        rows, pivots = closure.integer_rows(), closure.pivots
+        # the rows with a pivot at or past the block lie in it
+        for row in rows[: bisect_left(pivots, block)]:
+            low = {j: v for j, v in row.items() if j < short}
+            if min(row) < gamma or numerator.reduce(low):
+                lead = row[min(row)]
+                raise ContainmentError(
+                    f"{self.algebra.name}: a closure row is not in R ∩ γ_{self.c + 1}(F)",
+                    {j: Fraction(v, lead) for j, v in row.items()},
+                )
+        dimension = numerator.rank + F.dim - block - closure.rank
+        closed_pivots = set(pivots)
         words = tuple(
-            str(F.basis[p]) for p in numerator.pivots if p not in closed_pivots
+            str(F.basis[p]) for p in (*numerator.pivots, *range(block, F.dim)) if p not in closed_pivots
         )
         if len(words) != dimension:
             raise PresentationError(
@@ -158,13 +218,20 @@ def present(
     the non-pivot coordinates of L² in RREF, deterministic for a given L.
     A custom ``lift`` (one sparse vector per generator) must still span L
     modulo L².  Default-lift presentations under the default cap are
-    memoised, keyed by the algebra's name, labels and bracket table.
+    memoised, keyed by the algebra's name, labels and bracket table, and
+    those of one algebra share its images, R_{≤k} and closure chain.
     """
     if c < 1:
         raise ValueError("multiplier weight c must be >= 1")
     if lift is not None or dim_cap != DIM_CAP:
-        return _present(L, c, lift, dim_cap)
-    pres = _memoised((L.name, L.basis_labels, L.fingerprint, c), lambda: _present(L, c, None, dim_cap))
+        return _present(_chain(L, c, lift, dim_cap), L, c, dim_cap)
+    key = L.memo_key
+
+    def build():
+        chain = _shared_value(key, lambda: _chain(L, c, None, dim_cap))
+        return _present(chain, L, c, dim_cap)
+
+    pres = _memoised((key, c), build)
     # an ambient is never older in the memo than a presentation built on
     # it, so free_nilpotent never builds a second copy of it
     F = pres.ambient
@@ -172,7 +239,18 @@ def present(
     return pres
 
 
-def _present(L: LieAlgebra, c: int, lift, dim_cap: int) -> Presentation:
+def _present(chain: _Chain, L: LieAlgebra, c: int, dim_cap: int) -> Presentation:
+    F = free_nilpotent(chain.d, chain.k + c, dim_cap)
+    short_relations = chain.closures[0]
+    if short_relations.ambient_dim != F.dim:
+        short_relations = Subspace._from_rows(F.dim, short_relations.integer_rows())
+    images = chain.images + (_ZERO_IMAGE,) * (F.dim - len(chain.images))
+    return Presentation(F, short_relations, chain.k, c, L, images, chain)
+
+
+def _chain(L: LieAlgebra, c: int, lift, dim_cap: int) -> _Chain:
+    """The images and R_{≤k} of L, solved in F(d, k + c) for the weight c
+    asked first, so that its cap is checked before any work."""
     rep = series(L)
     if not rep.is_nilpotent:
         raise NotNilpotentError(
@@ -217,17 +295,15 @@ def _present(L: LieAlgebra, c: int, lift, dim_cap: int) -> Presentation:
                 f"in an algebra of class {k}"
             )
         ints.append(img)
-    images = [
+    images = tuple(
         {r: Fraction(v, unit ** w.length // L.den) for r, v in img.items()}
         for w, img in zip(F.basis, ints)
-    ]
-    images.extend([_ZERO_IMAGE] * (F.dim - live))
-
+    )
     scaled = [
         {r: v * unit ** (k - w.length) for r, v in img.items()} for w, img in zip(F.basis[:short], ints)
     ]
     short_relations = Subspace._from_rows(F.dim, _kernel_of_map(scaled))
-    return Presentation(F, short_relations, k, c, L, tuple(images))
+    return _Chain(d, k, images, short_relations)
 
 
 def subideal_bracket(S: Subspace, ambient: FreeNilpotentAlgebra, depth: int) -> Subspace:

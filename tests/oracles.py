@@ -28,7 +28,9 @@ reaches the same numbers by a structurally different route:
   of F/[R, F, ..., F], which the solve on a basis of L replaced; it takes
   Z_c with the ``Fraction`` ad-row loop above.
 * ``kernel_by_fractions`` is plain ``Fraction`` Gauss-Jordan elimination,
-  the reference for the one kernel solve ``_kernel_of_map``.
+  the reference for the one kernel solve ``_kernel_of_map``, and
+  ``rref_by_fractions`` the same elimination on a list of rows, the
+  reference for the row space ``_Spanner`` builds in any insertion order.
 """
 
 from __future__ import annotations
@@ -550,6 +552,12 @@ def kernel_by_fractions(images) -> list[dict[int, Fraction]]:
                 vec[p] = -row[f]
             solutions.append(vec)
     return [{c: v for c, v in enumerate(row) if v} for row in _gauss_jordan(solutions, n)[0]]
+
+
+def rref_by_fractions(rows, n: int) -> list[dict[int, Fraction]]:
+    """RREF basis of the span of sparse rows in Q^n, by Fraction Gauss-Jordan."""
+    dense = [[Fraction(row.get(c, 0)) for c in range(n)] for row in rows]
+    return [{c: v for c, v in enumerate(row) if v} for row in _gauss_jordan(dense, n)[0]]
 
 
 def _gauss_jordan(matrix, n: int):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilmult.exactlin import ContainmentError, Subspace, _kernel_of_map, _kernel_rows
+from nilmult.exactlin import ContainmentError, Subspace, _kernel_of_map, _kernel_rows, _Spanner
 from nilmult.fdlie import from_free_nilpotent, heisenberg, random_basis_change, upper_centrals
 from nilmult.freelie import free_nilpotent
 from nilmult.multiplier import present, subideal_bracket
@@ -277,6 +277,47 @@ class TestKernelOfMap:
         assert _kernel_of_map([{0: F(1, 2)}, {0: F(-1, 2)}, {1: 1}]) == [{0: 1, 1: 1}]
         # an int value is scaled with the Fraction values of its unknown
         assert _kernel_of_map([{1: 1, 2: 1}, {1: 1, 2: F(1, 2)}]) == []
+
+
+# independent rows over eight columns, then combinations of them
+_row = st.dictionaries(st.integers(0, 7), st.integers(-4, 4).filter(bool), min_size=1, max_size=5)
+
+
+class TestSpanner:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_insertion_order_gives_the_fraction_rref(self, data):
+        base = data.draw(st.lists(_row, max_size=6))
+        weights = st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base))
+        dependent = []
+        for w in data.draw(st.lists(weights, max_size=4)):
+            combo = {}
+            for x, row in zip(w, base):
+                for c, v in row.items():
+                    combo[c] = combo.get(c, 0) + x * v
+            dependent.append({c: v for c, v in combo.items() if v})
+        want = oracles.rref_by_fractions(base, 8)
+        for _ in range(2):
+            order = data.draw(st.permutations([*base, *dependent]))
+            copies = [dict(r) for r in order]
+            sp = _Spanner()
+            for row in copies:
+                before = sp.rank
+                assert sp.insert(row) == (sp.rank == before + 1)
+            assert copies == order  # insert leaves its argument alone
+            assert all(min(r) == p for p, r in sp.rows.items())
+            rows = sp.canonical()
+            assert [{c: F(v, r[min(r)]) for c, v in r.items()} for r in rows] == want
+            assert all(r[min(r)] > 0 and math.gcd(*r.values()) == 1 for r in rows)
+
+    def test_shorter_row_takes_the_pivot(self):
+        sp = _Spanner()
+        sp.insert({0: 1, 1: 1, 2: 1, 3: 1})
+        assert sp.insert({0: 2, 4: 1})
+        # the two-entry row holds pivot 0; the long one is reduced onto pivot 1
+        assert sp.rows[0] == {0: 2, 4: 1}
+        assert min(sp.rows[1]) == 1 and len(sp.rows) == 2
+        assert not sp.insert({0: 1, 1: 1, 2: 1, 3: 1})
 
 
 class TestSubspaceBasics:

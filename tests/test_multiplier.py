@@ -10,10 +10,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nilmult
-from nilmult import fdlie, multiplier, verify
-from nilmult.exactlin import Subspace
+from nilmult import exactlin, fdlie, multiplier, verify
+from nilmult.exactlin import ContainmentError, Subspace
 from nilmult.fdlie import LieAlgebra, NotNilpotentError, abelian, direct_sum, heisenberg, series
-from nilmult.freelie import DIM_CAP, MEMO_SIZE, FreeNilpotentAlgebra, clear_caches, free_nilpotent, witt
+from nilmult.freelie import (
+    DIM_CAP,
+    MEMO_SIZE,
+    FreeNilpotentAlgebra,
+    HashedKey,
+    clear_caches,
+    free_nilpotent,
+    witt,
+)
 from nilmult.multiplier import (
     BoundReport,
     Presentation,
@@ -261,6 +269,102 @@ class TestWeightTruncation:
         ))
         S = Subspace(F.dim, rows)
         assert subideal_bracket(S, F, depth) == oracles.closure_by_every_word(S, F, depth)
+
+
+_untruncated: dict = {}
+
+
+def untruncated_closure(pres: Presentation) -> Subspace:
+    """The untruncated closure of a default-lift presentation, computed once
+    per algebra and weight."""
+    key = (pres.algebra.name, pres.c)
+    if key not in _untruncated:
+        _untruncated[key] = oracles.closure_by_every_word(pres.relations, pres.ambient, pres.c)
+    return _untruncated[key]
+
+
+class TestClosureChain:
+    """One closure chain per algebra, shared by its presentations at every
+    weight: whichever weight is read first, each closure is the untruncated
+    one."""
+
+    @pytest.mark.parametrize("order", [(2, 1), (1, 2), (1, 3), (3,)])
+    def test_any_query_order_matches_untruncated(self, order):
+        for L in truncation_shapes():
+            clear_caches()
+            for c in order:
+                pres = present(L, c)
+                assert pres.closure == untruncated_closure(pres), (L.name, order, c)
+        clear_caches()
+
+    def test_custom_lift_matches_untruncated(self):
+        rng = random.Random(923)
+        for L in truncation_shapes():
+            lift = random_lift(L, rng)
+            for c in (1, 2, 3) if L.dim <= 5 else (1, 2):
+                pres = present(L, c, lift=lift)
+                want = oracles.closure_by_every_word(pres.relations, pres.ambient, c)
+                assert pres.closure == want, (L.name, c)
+
+    def test_weights_share_relations_and_closures(self, h2):
+        clear_caches()
+        one, two = present(h2, 1), present(h2, 2)
+        assert one.chain is two.chain
+        assert one.short_relations.integer_rows() == two.short_relations.integer_rows()
+        assert two.closure is two.chain.closures[2]
+        assert one.closure is one.chain.closures[1]
+        clear_caches()
+
+    def test_numerator_matches_materialised_relations(self):
+        # the numerator R_{≤k} ∩ γ_{c+1} plus a coordinate block, against
+        # R ∩ γ_{c+1} read off the materialised relations
+        for L in truncation_shapes():
+            for c in (1, 2, 3):
+                pres = present(L, c)
+                F = pres.ambient
+                numerator = pres.relations.intersect_suffix(F.stratum_starts[c + 1])
+                dimension = numerator.quotient_dim(pres.closure)
+                closed = set(pres.closure.pivots)
+                words = tuple(str(F.basis[p]) for p in numerator.pivots if p not in closed)
+                assert pres.multiplier == multiplier.MultiplierReport(c, dimension, words), (L.name, c)
+
+    def test_closure_outside_the_numerator_raises_with_witness(self):
+        # H(1) at c = 2: the generator x is not in γ_3(F)
+        pres = present(heisenberg(1), 2, dim_cap=DIM_CAP + 1)
+        pres.__dict__["closure"] = Subspace.coordinate_span(pres.ambient.dim, [0])
+        with pytest.raises(ContainmentError, match="not in R") as err:
+            pres.multiplier
+        assert err.value.witness == {0: 1}
+        # N(2,4) at c = 1: [y, x] lies in γ_2(F), but R_{≤4} = 0
+        N = fdlie.from_free_nilpotent(FreeNilpotentAlgebra(2, 4), "N(2,4)")
+        pres = present(N, 1, dim_cap=DIM_CAP + 1)
+        yx = pres.ambient.stratum_starts[2]
+        pres.__dict__["closure"] = Subspace._from_rows(pres.ambient.dim, [{yx: 2, pres.ambient.dim - 1: 4}])
+        with pytest.raises(ContainmentError) as err:
+            pres.multiplier
+        assert err.value.witness == {yx: 1, pres.ambient.dim - 1: 2}
+
+
+class TestClosureCost:
+    def test_random_basis_closure_work(self, monkeypatch):
+        # the closure of H(1)⊕N(2,3) in a random basis at c = 3: its
+        # elimination touches 1.71 M row entries with the products inserted
+        # in bracketing order and the first row kept on each pivot, 0.91 M
+        # with only the shortest first, 1.03 M with only the sparser row
+        # kept, and 0.87 M with both
+        n23 = fdlie.from_free_nilpotent(FreeNilpotentAlgebra(2, 3), "N(2,3)")
+        L = fdlie.random_basis_change(direct_sum(heisenberg(1), n23), random.Random(0))
+        pres = present(L, 3, dim_cap=DIM_CAP + 1)
+        touched = [0]
+        eliminate = exactlin._eliminate
+
+        def counting(v, row, p):
+            touched[0] += len(v) + len(row)
+            return eliminate(v, row, p)
+
+        monkeypatch.setattr(exactlin, "_eliminate", counting)
+        assert pres.closure.rank == 853
+        assert 0 < touched[0] <= 890_000
 
 
 class TestNilpotentMultiplier:
@@ -540,8 +644,44 @@ class TestClosureMemo:
         clear_caches()
 
     def test_report_builds_each_closure_once(self, cold):
+        # one chain: C_1 = [R, F] in F(8, 3), then C_2 = [C_1, F] in F(8, 4)
         report(heisenberg(4), 2)
-        assert [(s.ambient_dim, s.rank) for s in cold] == [(1212, 1008), (204, 168)]
+        assert [(s.ambient_dim, s.rank) for s in cold] == [(204, 168), (1212, 1008)]
+
+    def test_report_solves_the_relations_once(self, cold, monkeypatch):
+        sizes = []
+        kernel_of_map = multiplier._kernel_of_map
+
+        def logged(images):
+            sizes.append(len(images))
+            return kernel_of_map(images)
+
+        monkeypatch.setattr(multiplier, "_kernel_of_map", logged)
+        report(heisenberg(4), 2)
+        # R_{≤2} on the 8 + 28 words of length <= 2, shared by c = 1 and 2,
+        # then Z*_1 and Z*_2, each on the dim L = 9 words off R_{≤2}
+        assert sizes == [36, 9, 9]
+
+    def test_cached_queries_hash_no_fraction(self, cold, monkeypatch):
+        # an algebra's memo key is hashed once, not with every lookup
+        L = fdlie.random_basis_change(heisenberg(2), random.Random(4))
+        report(L, 2)
+        hashed = []
+        fraction_hash = Fraction.__hash__
+
+        def counting(self):
+            hashed.append(self)
+            return fraction_hash(self)
+
+        monkeypatch.setattr(Fraction, "__hash__", counting)
+        assert report(L, 2)["dim_multiplier"] == 20
+        assert hashed == []
+
+    def test_hashed_key(self):
+        a, b = HashedKey(("x", (F(1, 2),))), HashedKey(("x", (F(1, 2),)))
+        assert a == b and hash(a) == hash(b) == hash(("x", (F(1, 2),)))
+        assert a != HashedKey(("x", (F(1, 3),)))
+        assert (a, 1) != (1, 1) and a != ("x", (F(1, 2),))
 
     def test_report_takes_the_lower_series_once(self, cold, monkeypatch):
         calls = []
