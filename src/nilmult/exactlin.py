@@ -218,8 +218,9 @@ class Subspace:
         sp = _Spanner()
         for v in vectors:
             row = _int_row(v)
-            if row and max(row) >= ambient_dim:
-                raise ValueError(f"vector index {max(row)} outside ambient dimension {ambient_dim}")
+            if row and not 0 <= min(row) <= max(row) < ambient_dim:
+                bad = min(row) if min(row) < 0 else max(row)
+                raise ValueError(f"vector index {bad} outside ambient dimension {ambient_dim}")
             sp.insert(row)
         self._install(ambient_dim, sp.canonical())
 
@@ -293,7 +294,7 @@ class Subspace:
             if not isinstance(x, (int, Fraction)):
                 _as_fraction(x)  # raises TypeError
             if x:
-                if c >= n:
+                if not 0 <= c < n:
                     raise ValueError(f"vector index {c} outside ambient dimension {n}")
                 v[c] = x
                 d = x.denominator
@@ -319,9 +320,6 @@ class Subspace:
                 else:
                     del w[c]
         return {c: Fraction(x, scale) for c, x in w.items()}
-
-    def contains(self, vector) -> bool:
-        return not self.reduce(vector)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other)

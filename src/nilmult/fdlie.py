@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .exactlin import IntRow, Subspace, _Spanner, _as_fraction, _kernel_of_map
-from .freelie import FreeNilpotentAlgebra, HashedKey
+from .freelie import FreeNilpotentAlgebra, HashedKey, table_bracket
 
 Combo = dict[int, Fraction]
 
@@ -104,24 +104,7 @@ class LieAlgebra:
 
     def _ibracket(self, x: Mapping[int, int], y: Mapping[int, int]) -> IntRow:
         """den·[x, y] on the integer table (integer x, y give integers)."""
-        out: IntRow = {}
-        num = self._num
-        for i, xi in x.items():
-            for j, yj in y.items():
-                if i < j:
-                    combo, s = num.get((i, j)), xi * yj
-                elif i > j:
-                    combo, s = num.get((j, i)), -xi * yj
-                else:
-                    continue
-                if combo:
-                    for k, ck in combo.items():
-                        n = out.get(k, 0) + s * ck
-                        if n:
-                            out[k] = n
-                        else:
-                            del out[k]
-        return out
+        return table_bracket(self._num, x, y)
 
     def bracket_vectors(self, x: Mapping[int, object], y: Mapping[int, object]) -> Combo:
         """[x, y] for sparse rational vectors."""
@@ -243,15 +226,9 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
 def from_free_nilpotent(F: FreeNilpotentAlgebra, name: str | None = None, *, check: bool = False) -> LieAlgebra:
     """View a free nilpotent algebra as a plain structure-constant algebra."""
     labels = [str(w) for w in F.basis]
-    brackets = {}
-    for i in range(F.dim):
-        for j in range(i):
-            combo = F.bracket_indices(i, j)
-            if combo:
-                brackets[(j, i)] = {k: -c for k, c in combo.items()}
     if name is None:
         name = f"FN({F.rank},{F.nilpotency_class})"
-    return LieAlgebra(name, labels, brackets, check=check)
+    return LieAlgebra(name, labels, F._table, check=check)
 
 
 @dataclass(frozen=True)
@@ -377,6 +354,18 @@ def series(L: LieAlgebra) -> SeriesReport:
     return SeriesReport(lower, nil_class, L)
 
 
+def nilpotent_series(L: LieAlgebra) -> SeriesReport:
+    """``series(L)`` for nilpotent L; otherwise NotNilpotentError, carrying
+    the term where the lower central series stabilises."""
+    rep = series(L)
+    if not rep.is_nilpotent:
+        raise NotNilpotentError(
+            f"{L.name} is not nilpotent: lower central series stabilises at dimension {rep.lower[-1].rank}",
+            rep.lower[-1],
+        )
+    return rep
+
+
 def quotient(L: LieAlgebra, ideal: Subspace) -> LieAlgebra:
     """L/I on the non-pivot coordinates of the ideal's RREF basis."""
     if ideal.ambient_dim != L.dim:
@@ -408,10 +397,7 @@ def recognize_derived_dim_one(L: LieAlgebra) -> tuple[int, int]:
     form on L/Z-direction with matrix c_{ij} given by [e_i,e_j] = c_{ij} w;
     its rank is 2m and r = dim L − 2m − 1; read c_{ij}·den·w[p] off w's pivot p.
     """
-    rep = series(L)
-    if not rep.is_nilpotent:
-        raise NotNilpotentError("algebra is not nilpotent", rep.lower[-1])
-    derived = rep.gamma(2)
+    derived = nilpotent_series(L).gamma(2)
     if derived.rank != 1:
         raise ValueError(f"dim L^2 = {derived.rank}, need exactly 1")
     pivot = derived.pivots[0]

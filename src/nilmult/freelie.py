@@ -7,6 +7,9 @@ stratum is sorted lexicographically by the (left, right) positions of its
 members.  With that order the words of length <= c form a basis of the free
 nilpotent Lie algebra of class c, and every bracket of basis words collapses
 to an integer combination of basis words by Jacobi rewriting.
+
+A structure table, here and in :mod:`nilmult.fdlie`, stores each non-zero
+[e_i, e_j] once, under (i, j) with i < j; :func:`table_bracket` expands it.
 """
 
 from __future__ import annotations
@@ -147,6 +150,34 @@ def hall_basis(d: int, c: int, labels: Sequence[str] | None = None) -> list[Hall
     return words
 
 
+def table_bracket(table: Mapping[tuple[int, int], Mapping[int, int]], x: Mapping[int, int],
+                  y: Mapping[int, int]) -> IntRow:
+    """Σ x_i·y_j·[e_i, e_j] over a structure table keyed i < j, where
+    [e_j, e_i] is the negation of the stored [e_i, e_j].  Integer x, y and
+    table give an integer result."""
+    out: IntRow = {}
+    get = table.get
+    # y is most often one basis vector, so it is the outer loop
+    for j, yj in y.items():
+        for i, xi in x.items():
+            if i < j:
+                combo = get((i, j))
+                s = xi * yj
+            elif i > j:
+                combo = get((j, i))
+                s = -xi * yj
+            else:
+                continue
+            if combo:
+                for k, ck in combo.items():
+                    n = out.get(k, 0) + s * ck
+                    if n:
+                        out[k] = n
+                    else:
+                        del out[k]
+    return out
+
+
 class FreeNilpotentAlgebra:
     """Free nilpotent Lie algebra of the given rank and nilpotency class.
 
@@ -175,29 +206,32 @@ class FreeNilpotentAlgebra:
         self.stratum_starts = tuple(starts)
         self._table = self._build_table()
 
-    def _build_table(self) -> dict[tuple[int, int], dict[int, int]]:
-        """[e_i, e_j] for every pair of basis words within the class.
+    def _build_table(self) -> dict[tuple[int, int], IntRow]:
+        """[e_i, e_j] for every pair i < j of basis words within the class,
+        stored once under (i, j) as in :class:`~nilmult.fdlie.LieAlgebra`.
 
-        Pairs u > v are visited by total weight, then u, then v.  A Hall
-        pair is a basis word; otherwise u = [a, b] with v < b, and Jacobi
-        gives [u, v] = [[a, v], b] + [a, [b, v]], whose products were all
-        visited earlier.  Reading a product that was not raises
-        HallTableError; it is never taken as zero.
+        Pairs u > v are visited by total weight, then u, then v, and each is
+        stored as [v, u] = -[u, v].  A Hall pair is a basis word; otherwise
+        u = [a, b] with v < b, and Jacobi gives [u, v] = [[a, v], b] +
+        [a, [b, v]], whose products were all visited earlier.  Reading a
+        product that was not raises HallTableError; it is never taken as
+        zero.
         """
         basis = self.basis
         starts = self.stratum_starts
         pair_index = {(w.left.key, w.right.key): w.key for w in basis if w.gen is None}
-        table: dict[tuple[int, int], dict[int, int]] = {}
+        table: dict[tuple[int, int], IntRow] = {}
 
         def product(x: int, y: int):
+            """(s, combo) with [e_x, e_y] = s·combo."""
             if x == y:
-                return ()
-            combo = table.get((x, y))
+                return 1, {}
+            combo = table.get((x, y) if x < y else (y, x))
             if combo is None:
                 raise HallTableError(
                     f"[{basis[x]}, {basis[y]}] was read before it was computed"
                 )
-            return combo.items()
+            return (1 if x < y else -1), combo
 
         for total in range(2, self.nilpotency_class + 1):
             for wu in range((total + 1) // 2, total):
@@ -206,19 +240,20 @@ class FreeNilpotentAlgebra:
                     u = basis[i]
                     for j in range(starts[wv], min(i, starts[wv + 1])):
                         if u.gen is not None or j >= u.right.key:
-                            out = {pair_index[(i, j)]: 1}
+                            out = {pair_index[(i, j)]: -1}
                         else:
+                            # -[u, v] = -[[a, v], b] + [[b, v], a]
                             a, b = u.left.key, u.right.key
                             out = {}
-                            for k, ck in product(a, j):
-                                for m, cm in product(k, b):
-                                    out[m] = out.get(m, 0) + ck * cm
-                            for k, ck in product(b, j):
-                                for m, cm in product(a, k):
-                                    out[m] = out.get(m, 0) + ck * cm
+                            for sign, x, z in ((-1, a, b), (1, b, a)):
+                                s1, inner = product(x, j)
+                                for k, ck in inner.items():
+                                    s2, outer = product(k, z)
+                                    f = sign * s1 * s2 * ck
+                                    for m, cm in outer.items():
+                                        out[m] = out.get(m, 0) + f * cm
                             out = {m: c for m, c in out.items() if c}
-                        table[(i, j)] = out
-                        table[(j, i)] = {m: -c for m, c in out.items()}
+                        table[(j, i)] = out
         return {pair: combo for pair, combo in table.items() if combo}
 
     def weight(self, index: int) -> int:
@@ -229,30 +264,18 @@ class FreeNilpotentAlgebra:
     def bracket_indices(self, i: int, j: int) -> dict[int, int]:
         """[e_i, e_j] as an integer combination of basis indices.
 
-        The returned dict is shared with the structure table; callers must
-        not mutate it.
+        The table stores each pair once, under (i, j) with i < j; for i > j
+        the stored combination is negated into a fresh dict.  For i < j the
+        returned dict is shared with the structure table; callers must not
+        mutate it.
         """
+        if i > j:
+            return {k: -c for k, c in self._table.get((j, i), self._EMPTY).items()}
         return self._table.get((i, j), self._EMPTY)
-
-    def reduce_bracket(self, u: HallWord, v: HallWord) -> dict[int, int]:
-        """Collapse [u, v] for two basis words; zero when the weight exceeds
-        the class."""
-        for w in (u, v):
-            if not (0 <= w.key < self.dim) or self.basis[w.key] is not w:
-                raise ValueError(f"{w!r} is not a basis word of this algebra")
-        return dict(self.bracket_indices(u.key, v.key))
 
     def bracket_row_index(self, row: Mapping[int, int], j: int) -> IntRow:
         """[row, e_j] for a sparse integer row."""
-        out: dict[int, int] = {}
-        for i, ci in row.items():
-            for k, ck in self.bracket_indices(i, j).items():
-                n = out.get(k, 0) + ci * ck
-                if n:
-                    out[k] = n
-                else:
-                    del out[k]
-        return out
+        return table_bracket(self._table, row, {j: 1})
 
     def gamma(self, k: int) -> Subspace:
         """The k-th term of the lower central series as a coordinate subspace."""

@@ -25,7 +25,6 @@ only against generators, which costs dim L · d^c brackets for d generators.
 from __future__ import annotations
 
 import math
-import random
 from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
@@ -34,7 +33,7 @@ from functools import cached_property
 from types import MappingProxyType
 
 from .exactlin import ContainmentError, IntRow, Subspace, _as_fraction, _int_row, _kernel_of_map, _Spanner
-from .fdlie import LieAlgebra, NotNilpotentError, series
+from .fdlie import LieAlgebra, nilpotent_series
 from .freelie import DIM_CAP, FreeNilpotentAlgebra, _memoised, _shared_value, free_nilpotent, span_bracket_rows
 
 
@@ -251,12 +250,7 @@ def _present(chain: _Chain, L: LieAlgebra, c: int, dim_cap: int) -> Presentation
 def _chain(L: LieAlgebra, c: int, lift, dim_cap: int) -> _Chain:
     """The images and R_{≤k} of L, solved in F(d, k + c) for the weight c
     asked first, so that its cap is checked before any work."""
-    rep = series(L)
-    if not rep.is_nilpotent:
-        raise NotNilpotentError(
-            f"{L.name} is not nilpotent: lower central series stabilises at dimension {rep.lower[-1].rank}",
-            rep.lower[-1],
-        )
+    rep = nilpotent_series(L)
     k = rep.nilpotency_class
     derived = rep.gamma(2) if k >= 1 else Subspace.zero(L.dim)
     d = L.dim - derived.rank
@@ -468,9 +462,7 @@ class BoundReport:
 
 def bound_report(L: LieAlgebra, **kwargs) -> BoundReport:
     """Check dim M^(2)(L) + dim L³ against the general and refined bounds."""
-    rep = series(L)
-    if not rep.is_nilpotent:
-        raise NotNilpotentError(f"{L.name} is not nilpotent", rep.lower[-1])
+    rep = nilpotent_series(L)
     m = rep.gamma(2).rank
     l3 = rep.gamma(3).rank
     dim_m2 = nilpotent_multiplier(L, 2, **kwargs).dimension
@@ -504,24 +496,3 @@ def report(L: LieAlgebra, c: int, **kwargs) -> dict:
         "capable": is_capable(L),
         "two_capable": is_two_capable(L),
     }
-
-
-def random_lift(L: LieAlgebra, rng: random.Random) -> list[dict[int, Fraction]]:
-    """A random minimal generating lift: canonical lift plus small noise."""
-    rep = series(L)
-    if not rep.is_nilpotent:
-        raise NotNilpotentError(f"{L.name} is not nilpotent", rep.lower[-1])
-    derived = rep.gamma(2)
-    keep = [col for col in range(L.dim) if col not in derived.pivots]
-    while True:
-        vectors = []
-        for base in keep:
-            v = {base: Fraction(1)}
-            for col in range(L.dim):
-                coeff = rng.randint(-2, 2)
-                if coeff and col != base:
-                    v[col] = Fraction(coeff)
-            vectors.append(v)
-        sp = _Spanner()
-        if all(sp.insert(_int_row(derived.reduce(v))) for v in vectors):
-            return vectors

@@ -27,6 +27,9 @@ reaches the same numbers by a structurally different route:
 * ``epicenter_by_upper_centrals`` is the epicenter from Z_c of the whole
   of F/[R, F, ..., F], which the solve on a basis of L replaced; it takes
   Z_c with the ``Fraction`` ad-row loop above.
+* ``random_lift`` is an input generator, not a reference: a random
+  generating lift of L for the lift-invariance tests, drawn with nilmult's
+  own series and elimination engine.
 * ``kernel_by_fractions`` is plain ``Fraction`` Gauss-Jordan elimination,
   the reference for the one kernel solve ``_kernel_of_map``, and
   ``rref_by_fractions`` the same elimination on a list of rows, the
@@ -299,8 +302,9 @@ def closure_by_every_word(S, F, depth: int):
     from nilmult.exactlin import Subspace
 
     partners: dict[int, list] = {}
-    for (i, j), combo in F._table.items():
+    for (i, j), combo in F._table.items():  # [e_i, e_j], stored for i < j only
         partners.setdefault(i, []).append((j, combo))
+        partners.setdefault(j, []).append((i, {k: -c for k, c in combo.items()}))
     current = S
     for _ in range(depth):
         products = []
@@ -314,6 +318,29 @@ def closure_by_every_word(S, F, depth: int):
             products.extend(by_word.values())
         current = Subspace(F.dim, products)
     return current
+
+
+def random_lift(L, rng) -> list[dict[int, Fraction]]:
+    """A random minimal generating lift of L: the default lift (the
+    coordinates off the pivots of L²) plus small noise, redrawn until it
+    still spans L modulo L²."""
+    from nilmult.exactlin import _int_row, _Spanner
+    from nilmult.fdlie import nilpotent_series
+
+    derived = nilpotent_series(L).gamma(2)
+    keep = [col for col in range(L.dim) if col not in derived.pivots]
+    while True:
+        vectors = []
+        for base in keep:
+            v = {base: Fraction(1)}
+            for col in range(L.dim):
+                coeff = rng.randint(-2, 2)
+                if coeff and col != base:
+                    v[col] = Fraction(coeff)
+            vectors.append(v)
+        sp = _Spanner()
+        if all(sp.insert(_int_row(derived.reduce(v))) for v in vectors):
+            return vectors
 
 
 # ---------------------------------------------------------------------------

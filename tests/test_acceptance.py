@@ -18,11 +18,11 @@ from nilmult.multiplier import (
     is_capable,
     is_two_capable,
     nilpotent_multiplier,
-    random_lift,
     z_star,
 )
 
 import oracles
+from oracles import random_lift
 
 
 def _announce(capsys, num, label, failures):

@@ -1,5 +1,6 @@
 """Command-line surface: every subcommand, both output modes, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -102,6 +103,17 @@ class TestMake:
         code, out, _ = run(capsys, "make", "free-nilpotent", "2", "3")
         assert code == 0
         assert fdlie.loads(out).dim == 5
+
+    @pytest.mark.parametrize("rank, cls, digest", [
+        ("2", "3", "c98dbe19aa43e635c3beb4cb2f260239688b9f5a1167c813ba989dbce13a4b5d"),
+        ("3", "3", "9316835dad9eb36ba736e5bcabb65cfa01f4825df500a3009b50fc9a9d5ffa1b"),
+    ])
+    def test_make_free_nilpotent_is_byte_stable(self, capsys, rank, cls, digest):
+        # SHA-256 of the exact stdout (476 and 1,714 bytes): how the free
+        # algebra stores its table must not show in the emitted JSON
+        code, out, _ = run(capsys, "make", "free-nilpotent", rank, cls)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_make_wrong_arity(self, capsys):
         code, _, err = run(capsys, "make", "abelian")

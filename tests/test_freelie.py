@@ -6,8 +6,10 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilmult import freelie
+from nilmult.fdlie import from_free_nilpotent
 from nilmult.freelie import (
     DimensionCapError,
     FreeNilpotentAlgebra,
@@ -20,7 +22,7 @@ from nilmult.freelie import (
     witt,
 )
 
-from oracles import expand_combination, expand_hall_word, jacobi_table_by_recursion, lyndon_count
+from oracles import AssocPoly, expand_combination, expand_hall_word, jacobi_table_by_recursion, lyndon_count
 
 
 class TestWitt:
@@ -103,31 +105,24 @@ class TestReduceBracket:
     def test_alternating(self):
         F = free_nilpotent(2, 4)
         for w in F.basis:
-            assert F.reduce_bracket(w, w) == {}
+            assert F.bracket_indices(w.key, w.key) == {}
 
     def test_antisymmetry_generator_pair(self):
         F = free_nilpotent(2, 2)
-        x, y = F.basis[0], F.basis[1]
-        assert F.reduce_bracket(y, x) == {2: 1}
-        assert F.reduce_bracket(x, y) == {2: -1}
+        assert F.bracket_indices(1, 0) == {2: 1}
+        assert F.bracket_indices(0, 1) == {2: -1}
 
     def test_single_jacobi_step(self):
         # [[y,x,y], x] = [y,x,x,y]: one rewrite, the cross term vanishes
         F = free_nilpotent(2, 4)
         words = {str(w): w for w in F.basis}
-        got = F.reduce_bracket(words["[y,x,y]"], words["x"])
+        got = F.bracket_indices(words["[y,x,y]"].key, words["x"].key)
         assert got == {words["[y,x,x,y]"].key: 1}
 
     def test_weight_overflow_is_zero(self):
         F = free_nilpotent(2, 4)
         words = {str(w): w for w in F.basis}
-        assert F.reduce_bracket(words["[y,x,x]"], words["[y,x]"]) == {}
-
-    def test_foreign_word_rejected(self):
-        F = free_nilpotent(2, 4)
-        other = free_nilpotent(3, 2)
-        with pytest.raises(ValueError):
-            F.reduce_bracket(other.basis[0], F.basis[1])
+        assert F.bracket_indices(words["[y,x,x]"].key, words["[y,x]"].key) == {}
 
     def test_antisymmetry_all_pairs(self):
         for F in (free_nilpotent(2, 4), free_nilpotent(3, 3)):
@@ -181,11 +176,44 @@ class TestStructureTable:
                 assert direct == collected, (i, j)
 
 
+_EXPANSIONS = {(d, c): [expand_hall_word(w, c) for w in hall_basis(d, c)] for d, c in ((2, 4), (3, 3))}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_row_bracket_matches_associative_expansion(data):
+    # [row, e_j] for a random integer row, against Σ row_i·(e_i e_j − e_j e_i)
+    # in the truncated free associative algebra
+    d, c = data.draw(st.sampled_from(sorted(_EXPANSIONS)))
+    F = free_nilpotent(d, c)
+    coeff = st.integers(min_value=-5, max_value=5).filter(bool)
+    row = data.draw(st.dictionaries(st.integers(min_value=0, max_value=F.dim - 1), coeff, max_size=6))
+    j = data.draw(st.integers(min_value=0, max_value=F.dim - 1))
+    words = _EXPANSIONS[(d, c)]
+    expected = AssocPoly({}, c)
+    for i, ci in row.items():
+        expected = expected + words[i].commutator(words[j]).scale(ci)
+    assert expand_combination(F.bracket_row_index(row, j), F.basis, c) == expected
+
+
 class TestTableBuild:
+    @pytest.mark.parametrize("d, c", [(2, 6), (3, 4), (8, 4)])
+    def test_free_view_is_the_table(self, d, c):
+        # one layout: each pair once, keyed i < j, and the structure-constant
+        # view of F holds exactly that table
+        F = FreeNilpotentAlgebra(d, c)
+        assert all(i < j for i, j in F._table)
+        assert from_free_nilpotent(F)._num == F._table
+
     @pytest.mark.parametrize("d, c", [(2, 6), (3, 5), (2, 8), (3, 6), (4, 5), (8, 4)])
     def test_matches_recursive_reference(self, d, c):
         F = FreeNilpotentAlgebra(d, c)
-        assert F._table == jacobi_table_by_recursion(F)
+        reference = jacobi_table_by_recursion(F)
+        # the table stores the reference's i < j half; its i > j half is the negation
+        assert F._table == {(i, j): combo for (i, j), combo in reference.items() if i < j}
+        for (i, j), combo in reference.items():
+            if i > j:
+                assert combo == {k: -v for k, v in reference[(j, i)].items()}, (i, j)
 
     def test_leaves_the_recursion_limit_alone(self, monkeypatch):
         def refuse(limit):

@@ -36,7 +36,6 @@ from nilmult.multiplier import (
     is_two_capable,
     nilpotent_multiplier,
     present,
-    random_lift,
     refined_bound,
     report,
     schur_heisenberg,
@@ -45,6 +44,7 @@ from nilmult.multiplier import (
 )
 
 import oracles
+from oracles import random_lift
 
 F = Fraction
 
@@ -96,6 +96,16 @@ class TestPresent:
             present(sl2(), 1)
         assert exc.value.stabilized.rank == 3
 
+    def test_lift_with_negative_coordinate_rejected(self, h1):
+        with pytest.raises(ValueError, match="index -1 outside"):
+            present(h1, 1, lift=[{0: 1, -1: 1}, {1: 1}])
+
+    def test_lift_off_the_algebra_is_a_value_error(self, h1):
+        # a lift vector with no coordinate in range is bad input, not a
+        # broken invariant: ValueError, never PresentationError
+        with pytest.raises(ValueError, match="index -3 outside"):
+            present(h1, 1, lift=[{-3: 1}, {1: 1}])
+
     def test_lift_with_wrong_count(self, h1):
         with pytest.raises(ValueError):
             present(h1, 1, lift=[{0: F(1)}])
@@ -128,7 +138,7 @@ class TestPresent:
     def test_wrong_class_raises_presentation_error(self, h1, monkeypatch):
         # a class-1 report for H(1) makes [x, y] a length-(k+1) word whose
         # image must vanish; it does not, and that is an error, not an assert
-        monkeypatch.setattr(multiplier, "series", lambda L: series(abelian(3)))
+        monkeypatch.setattr(multiplier, "nilpotent_series", lambda L: series(abelian(3)))
         with pytest.raises(PresentationError, match="length-2"):
             present(h1, 1, dim_cap=DIM_CAP + 1)
 
@@ -479,7 +489,7 @@ class TestZStar:
             for row in z.integer_rows():
                 for j in range(L.dim):
                     out = L.bracket_vectors(dict(row), {j: 1})
-                    assert z.contains(out), (L.name, j)
+                    assert not z.reduce(out), (L.name, j)
 
     def test_monotone_in_weight(self, corpus):
         for L in corpus:
@@ -856,6 +866,26 @@ class TestReportDict:
         out = report(abelian(3), 2)
         assert out["bounds"]["refined"] is None
         assert out["bounds"]["value"] == out["bounds"]["eq1"] == 8
+
+
+class TestNilpotencyGuard:
+    @pytest.mark.parametrize("entry", [
+        lambda L: present(L, 1),
+        lambda L: present(L, 2, lift=[{0: 1}, {1: 1}, {2: 1}]),
+        lambda L: nilpotent_multiplier(L, 2),
+        lambda L: z_star(L, 1),
+        is_capable,
+        is_two_capable,
+        lambda L: report(L, 2),
+        bound_report,
+        fdlie.recognize_derived_dim_one,
+        lambda L: random_lift(L, random.Random(0)),
+    ])
+    def test_every_entry_point_names_the_stable_term(self, entry):
+        with pytest.raises(NotNilpotentError, match="sl2 is not nilpotent: lower central series "
+                                                    "stabilises at dimension 3") as exc:
+            entry(sl2())
+        assert exc.value.stabilized == Subspace.full(3)
 
 
 class TestRandomLift:
