@@ -102,15 +102,9 @@ def cmd_make(args) -> int:
     return 0
 
 
-def _check_weight(args):
-    if args.c > 2 and not args.opt_in_c3:
-        raise ValidationError("weights c >= 3 require --opt-in-c3 (ambient dimension grows fast)")
-
-
 def cmd_multiplier(args) -> int:
-    _check_weight(args)
     L = fdlie.load(args.file)
-    rep = multiplier.report(L, args.c, opt_in_high_weight=args.opt_in_c3)
+    rep = multiplier.report(L, args.c)
     if args.json:
         _emit(_json_text(rep), args.output)
         return 0
@@ -131,9 +125,8 @@ def cmd_multiplier(args) -> int:
 
 
 def cmd_capable(args) -> int:
-    _check_weight(args)
     L = fdlie.load(args.file)
-    z = multiplier.z_star(L, args.c, opt_in_high_weight=args.opt_in_c3)
+    z = multiplier.z_star(L, args.c)
     label = "capable" if args.c == 1 else f"{args.c}-capable"
     if args.json:
         _emit(_json_text({
@@ -198,14 +191,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--basis", action="store_true", help="list Hall-word representatives")
-    p.add_argument("--opt-in-c3", action="store_true", help="allow weights c >= 3")
+    p.add_argument("--opt-in-c3", action="store_true", help="no effect; kept so old command lines still parse")
     common(p)
     p.set_defaults(fn=cmd_multiplier)
 
     p = sub.add_parser("capable", help="c-capability verdict for an algebra file")
     p.add_argument("file")
     p.add_argument("--c", type=int, required=True)
-    p.add_argument("--opt-in-c3", action="store_true", help="allow weights c >= 3")
+    p.add_argument("--opt-in-c3", action="store_true", help="no effect; kept so old command lines still parse")
     common(p)
     p.set_defaults(fn=cmd_capable)
 

@@ -54,13 +54,14 @@ class NotNilpotentError(ValueError):
 
 
 def _clean_combo(combo: Mapping[int, object], dim: int, where: str) -> Combo:
+    """The non-zero entries of ``combo``, an integral value as an ``int``."""
     out: Combo = {}
     for k, v in combo.items():
         if not isinstance(k, int) or not 0 <= k < dim:
             raise ValidationError(f"{where}: basis index {k!r} out of range", where)
-        f = _as_fraction(v)
+        f = v if type(v) is int else _as_fraction(v)
         if f:
-            out[k] = f
+            out[k] = f.numerator if f.denominator == 1 else f
     return out
 
 
@@ -92,8 +93,11 @@ class LieAlgebra:
                 table[(i, j)] = cleaned
         den = math.lcm(*(f.denominator for combo in table.values() for f in combo.values()))
         self.den = den
+        # over den = 1 every value is already an int
         self._num: dict[tuple[int, int], IntRow] = {
-            pair: {k: f.numerator * (den // f.denominator) for k, f in table[pair].items()}
+            pair: table[pair] if den == 1 else {
+                k: f.numerator * (den // f.denominator) for k, f in table[pair].items()
+            }
             for pair in sorted(table)
         }
         self._fingerprint = None

@@ -350,6 +350,15 @@ def clear_caches() -> None:
     _shared.clear()
 
 
+def _check_dim_cap(d: int, c: int, dim: int, dim_cap: int) -> None:
+    """The one cost guard: refuse a free algebra of rank d and class c whose
+    dimension ``dim`` exceeds ``dim_cap``, whether it is built or memoised."""
+    if dim > dim_cap:
+        raise DimensionCapError(
+            f"free nilpotent algebra of rank {d} and class {c} has dimension {dim}, cap is {dim_cap}"
+        )
+
+
 def free_nilpotent(d: int, c: int, dim_cap: int = DIM_CAP) -> FreeNilpotentAlgebra:
     """Cached free nilpotent algebra of rank d and class c.
 
@@ -358,11 +367,7 @@ def free_nilpotent(d: int, c: int, dim_cap: int = DIM_CAP) -> FreeNilpotentAlgeb
     """
     if d < 0 or c < 1:
         raise ValueError("free_nilpotent requires d >= 0 and c >= 1")
-    total = sum(witt(d, n) for n in range(1, c + 1))
-    if total > dim_cap:
-        raise DimensionCapError(
-            f"free nilpotent algebra of rank {d} and class {c} has dimension {total}, cap is {dim_cap}"
-        )
+    _check_dim_cap(d, c, sum(witt(d, n) for n in range(1, c + 1)), dim_cap)
     return _memoised((d, c), lambda: FreeNilpotentAlgebra(d, c))
 
 

@@ -34,7 +34,9 @@ from types import MappingProxyType
 
 from .exactlin import ContainmentError, IntRow, Subspace, _as_fraction, _int_row, _kernel_of_map, _Spanner
 from .fdlie import LieAlgebra, nilpotent_series
-from .freelie import DIM_CAP, FreeNilpotentAlgebra, _memoised, _shared_value, free_nilpotent, span_bracket_rows
+from .freelie import (
+    DIM_CAP, FreeNilpotentAlgebra, _check_dim_cap, _memoised, _shared_value, free_nilpotent, span_bracket_rows,
+)
 
 
 class PresentationError(ArithmeticError):
@@ -75,8 +77,7 @@ class Presentation:
 
     What is derived from it (the closure, the multiplier, the epicenter) is
     computed on first read and lives as long as the presentation does; the
-    closure comes from ``chain``, which a presentation built without one
-    starts on its own.
+    closure comes from ``chain``, shared by the algebra's presentations.
     """
 
     ambient: FreeNilpotentAlgebra
@@ -85,19 +86,15 @@ class Presentation:
     c: int
     algebra: LieAlgebra
     images: tuple = field(repr=False)  # image in L of each ambient basis word
-    chain: _Chain | None = field(default=None, repr=False)
+    chain: _Chain = field(repr=False)
 
     def __post_init__(self):
-        starts = self.ambient.stratum_starts
-        short = starts[self.k + 1]
+        short = self.ambient.stratum_starts[self.k + 1]
         if short - self.short_relations.rank != self.algebra.dim:
             raise PresentationError(
                 f"rank-nullity fails: {short} words of length <= {self.k} minus relation rank "
                 f"{self.short_relations.rank} is not dim L = {self.algebra.dim}"
             )
-        if self.chain is None:
-            chain = _Chain(self.ambient.rank, self.k, self.images[: starts[self.k + 2]], self.short_relations)
-            object.__setattr__(self, "chain", chain)
 
     @property
     def relations(self) -> Subspace:
@@ -216,13 +213,15 @@ def present(
     The generators map to a lift of a basis of L/L²; by default the lift is
     the non-pivot coordinates of L² in RREF, deterministic for a given L.
     A custom ``lift`` (one sparse vector per generator) must still span L
-    modulo L².  Default-lift presentations under the default cap are
-    memoised, keyed by the algebra's name, labels and bracket table, and
-    those of one algebra share its images, R_{≤k} and closure chain.
+    modulo L².  Default-lift presentations are memoised, keyed by the
+    algebra's name, labels and bracket table, and those of one algebra share
+    its images, R_{≤k} and closure chain.  ``dim_cap`` refuses an ambient
+    F(d, k + c) larger than it, before any build and on a memo hit alike,
+    so what the memo holds never decides whether a call answers.
     """
     if c < 1:
         raise ValueError("multiplier weight c must be >= 1")
-    if lift is not None or dim_cap != DIM_CAP:
+    if lift is not None:
         return _present(_chain(L, c, lift, dim_cap), L, c, dim_cap)
     key = L.memo_key
 
@@ -232,9 +231,11 @@ def present(
 
     pres = _memoised((key, c), build)
     # an ambient is never older in the memo than a presentation built on
-    # it, so free_nilpotent never builds a second copy of it
+    # it, so free_nilpotent never builds a second copy of it; a hit the cap
+    # refuses is checked after this touch, so it keeps that order too
     F = pres.ambient
     _memoised((F.rank, F.nilpotency_class), lambda: F)
+    _check_dim_cap(F.rank, F.nilpotency_class, F.dim, dim_cap)
     return pres
 
 
@@ -261,7 +262,9 @@ def _chain(L: LieAlgebra, c: int, lift, dim_cap: int) -> _Chain:
         lift_vectors = []
         sp = _Spanner()
         for v in lift:
-            vec = {int(i): f for i, x in dict(v).items() if (f := _as_fraction(x))}
+            if any(type(i) is not int for i in v):
+                raise ValueError(f"lift coordinates must be ints, got {list(v)}")
+            vec = {i: f for i, x in dict(v).items() if (f := _as_fraction(x))}
             residual = derived.reduce(vec)
             if not sp.insert(_int_row(residual)):
                 raise ValueError("lift does not span L modulo L²")
@@ -327,44 +330,31 @@ def nilpotent_multiplier(
     L: LieAlgebra,
     c: int,
     *,
-    opt_in_high_weight: bool = False,
     lift: Sequence[Mapping[int, object]] | None = None,
     dim_cap: int = DIM_CAP,
 ) -> MultiplierReport:
     """dim and Hall-word basis of the c-nilpotent multiplier of L.
 
-    c = 1 is the Schur multiplier.  Weights c >= 3 grow the ambient algebra
-    quickly, so they sit behind ``opt_in_high_weight``.
+    c = 1 is the Schur multiplier.  The ambient grows quickly with c;
+    ``dim_cap`` refuses one that is too large before any work.
     """
-    _check_weight(c, opt_in_high_weight)
     return present(L, c, lift=lift, dim_cap=dim_cap).multiplier
 
 
-def z_star(
-    L: LieAlgebra, c: int, *, opt_in_high_weight: bool = False, dim_cap: int = DIM_CAP
-) -> Subspace:
+def z_star(L: LieAlgebra, c: int, *, dim_cap: int = DIM_CAP) -> Subspace:
     """The c-epicenter: image in L of Z_c(ambient/[R̄,F,…,F]) (c bracketings).
 
     L is c-capable (a quotient H/Z_c(H)) exactly when this vanishes.
-    Weights c >= 3 sit behind ``opt_in_high_weight``, as for the multiplier.
     """
-    _check_weight(c, opt_in_high_weight)
     return present(L, c, dim_cap=dim_cap).epicenter
 
 
-def _check_weight(c: int, opt_in_high_weight: bool) -> None:
-    if c < 1:
-        raise ValueError("multiplier weight c must be >= 1")
-    if c > 2 and not opt_in_high_weight:
-        raise ValueError("c >= 3 requires opt_in_high_weight=True (ambient dimension grows fast)")
+def is_capable(L: LieAlgebra, *, dim_cap: int = DIM_CAP) -> bool:
+    return z_star(L, 1, dim_cap=dim_cap).rank == 0
 
 
-def is_capable(L: LieAlgebra) -> bool:
-    return z_star(L, 1).rank == 0
-
-
-def is_two_capable(L: LieAlgebra) -> bool:
-    return z_star(L, 2).rank == 0
+def is_two_capable(L: LieAlgebra, *, dim_cap: int = DIM_CAP) -> bool:
+    return z_star(L, 2, dim_cap=dim_cap).rank == 0
 
 
 # --- closed-form oracles -----------------------------------------------------
@@ -460,12 +450,12 @@ class BoundReport:
         return self.eq1_slack == 0
 
 
-def bound_report(L: LieAlgebra, **kwargs) -> BoundReport:
+def bound_report(L: LieAlgebra, *, dim_cap: int = DIM_CAP) -> BoundReport:
     """Check dim M^(2)(L) + dim L³ against the general and refined bounds."""
     rep = nilpotent_series(L)
     m = rep.gamma(2).rank
     l3 = rep.gamma(3).rank
-    dim_m2 = nilpotent_multiplier(L, 2, **kwargs).dimension
+    dim_m2 = nilpotent_multiplier(L, 2, dim_cap=dim_cap).dimension
     n = L.dim
     return BoundReport(
         algebra=L.name,
@@ -479,10 +469,11 @@ def bound_report(L: LieAlgebra, **kwargs) -> BoundReport:
     )
 
 
-def report(L: LieAlgebra, c: int, **kwargs) -> dict:
-    """Machine-readable report for one algebra at weight c."""
-    mult = nilpotent_multiplier(L, c, **kwargs)
-    bounds = bound_report(L, **kwargs)
+def report(L: LieAlgebra, c: int, *, dim_cap: int = DIM_CAP) -> dict:
+    """Machine-readable report for one algebra at weight c; ``dim_cap``
+    bounds every ambient it asks for."""
+    mult = nilpotent_multiplier(L, c, dim_cap=dim_cap)
+    bounds = bound_report(L, dim_cap=dim_cap)
     return {
         "algebra": L.name,
         "c": c,
@@ -493,6 +484,6 @@ def report(L: LieAlgebra, c: int, **kwargs) -> dict:
             "refined": bounds.refined,
             "value": bounds.value,
         },
-        "capable": is_capable(L),
-        "two_capable": is_two_capable(L),
+        "capable": is_capable(L, dim_cap=dim_cap),
+        "two_capable": is_two_capable(L, dim_cap=dim_cap),
     }

@@ -30,6 +30,9 @@ reaches the same numbers by a structurally different route:
 * ``random_lift`` is an input generator, not a reference: a random
   generating lift of L for the lift-invariance tests, drawn with nilmult's
   own series and elimination engine.
+* ``h2_by_chevalley_eilenberg`` is the Schur multiplier as the homology
+  H_2(L) of the Chevalley-Eilenberg complex, by its own integer elimination
+  on the exterior powers of L; it never builds a free algebra.
 * ``kernel_by_fractions`` is plain ``Fraction`` Gauss-Jordan elimination,
   the reference for the one kernel solve ``_kernel_of_map``, and
   ``rref_by_fractions`` the same elimination on a list of rows, the
@@ -38,7 +41,9 @@ reaches the same numbers by a structurally different route:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import combinations
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +557,52 @@ def epicenter_by_upper_centrals(pres):
                 v[r] = v.get(r, 0) + val * x
         pushed.append(v)
     return Subspace(pres.algebra.dim, pushed)
+
+
+# ---------------------------------------------------------------------------
+# Chevalley-Eilenberg homology
+
+
+def h2_by_chevalley_eilenberg(L) -> int:
+    """dim H_2(L) = dim ker(d_2: Λ²L → L) - rank(d_3: Λ³L → Λ²L), where
+    d_2(x∧y) = -[x, y] and d_3(x∧y∧z) = -[x,y]∧z + [x,z]∧y - [y,z]∧x."""
+    n = L.dim
+    pairs = {p: t for t, p in enumerate(combinations(range(n), 2))}
+
+    def wedge(v, z) -> dict[int, Fraction]:
+        """v∧e_z in the basis e_i∧e_j, i < j, of Λ²L."""
+        return {pairs[(t, z) if t < z else (z, t)]: x if t < z else -x for t, x in v.items() if t != z}
+
+    d2 = [L.bracket_basis(i, j) for i, j in pairs]
+    d3 = []
+    for i, j, k in combinations(range(n), 3):
+        row: dict[int, Fraction] = {}
+        for sign, a, b, z in ((-1, i, j, k), (1, i, k, j), (-1, j, k, i)):
+            for col, x in wedge(L.bracket_basis(a, b), z).items():
+                row[col] = row.get(col, 0) + sign * x
+        d3.append(row)
+    return len(pairs) - rank_by_integer_elimination(d2) - rank_by_integer_elimination(d3)
+
+
+def rank_by_integer_elimination(rows) -> int:
+    """Rank of sparse rational rows: each row is cleared of denominators,
+    then reduced against the earlier pivot rows by integer cross-multiples."""
+    pivots: dict[int, dict[int, int]] = {}  # column -> primitive row leading there
+    for row in rows:
+        den = math.lcm(*(Fraction(x).denominator for x in row.values()))
+        v = {c: int(x * den) for c, x in row.items() if x}
+        while v:
+            c = min(v)
+            if c not in pivots:
+                g = math.gcd(*v.values())
+                pivots[c] = {k: x // g for k, x in v.items()}
+                break
+            p = pivots[c]
+            a, b = p[c], v[c]
+            v = {k: x for k in v.keys() | p.keys() if (x := a * v.get(k, 0) - b * p.get(k, 0))}
+            g = math.gcd(*v.values())
+            v = {k: x // g for k, x in v.items()}
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------

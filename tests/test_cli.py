@@ -23,6 +23,14 @@ def h1_file(tmp_path):
 
 
 @pytest.fixture()
+def h4_file(tmp_path):
+    # at c = 3 its ambient F(8, 5) has dimension 7,764, past the default cap
+    path = tmp_path / "h4.json"
+    fdlie.dump(fdlie.heisenberg(4), path)
+    return str(path)
+
+
+@pytest.fixture()
 def a3_file(tmp_path):
     path = tmp_path / "a3.json"
     fdlie.dump(fdlie.abelian(3), path)
@@ -143,10 +151,14 @@ class TestMultiplier:
         assert code == 0
         assert "n/a (abelian)" in out
 
-    def test_high_weight_needs_flag(self, capsys, a3_file):
-        code, _, err = run(capsys, "multiplier", a3_file, "--c", "3")
-        assert code == 2
-        assert "--opt-in-c3" in err
+    def test_high_weight_past_the_cap_exits_two(self, capsys, h4_file):
+        # the dimension cap is the one guard; --opt-in-c3 changes nothing
+        for flags in ([], ["--opt-in-c3"]):
+            code, out, err = run(capsys, "multiplier", h4_file, "--c", "3", *flags)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:")
+            assert "dimension 7764, cap is 5000" in err
 
     def test_high_weight_with_flag(self, capsys, a3_file):
         code, out, _ = run(capsys, "multiplier", a3_file, "--c", "3", "--opt-in-c3", "--json")
@@ -183,12 +195,15 @@ class TestCapable:
         data = json.loads(out)
         assert data == {"algebra": "H(1)", "c": 1, "capable": True, "dim_z_star": 0}
 
-    def test_high_weight_needs_flag(self, capsys, h1_file):
-        code, out, err = run(capsys, "capable", h1_file, "--c", "3")
+    def test_high_weight_past_the_cap_exits_two(self, capsys, h1_file, h4_file):
+        code, out, _ = run(capsys, "capable", h1_file, "--c", "3")
+        assert code == 0
+        assert "H(1): 3-capable (Z*_3 = 0)" in out
+        code, out, err = run(capsys, "capable", h4_file, "--c", "3")
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
-        assert "--opt-in-c3" in err
+        assert "rank 8 and class 5 has dimension 7764, cap is 5000" in err
 
     def test_high_weight_with_flag(self, capsys, tmp_path, h1_file):
         code, out, _ = run(capsys, "capable", h1_file, "--c", "3", "--opt-in-c3")

@@ -394,6 +394,22 @@ class TestIntegerTable:
         assert list(back.entries()) == list(L.entries())
         assert dumps(back) == text
 
+    def test_integer_table_is_read_as_ints(self, monkeypatch):
+        # an integer table makes no Fraction on its way into the algebra
+        made, as_fraction = [], fdlie._as_fraction
+        monkeypatch.setattr(fdlie, "_as_fraction", lambda x: made.append(x) or as_fraction(x))
+        free = freelie.free_nilpotent(3, 3)
+        L = from_free_nilpotent(free)
+        assert made == [] and L.den == 1 and L._num == free._table
+        assert all(type(v) is int for combo in L._num.values() for v in combo.values())
+        # an integral Fraction is kept as its int numerator
+        L = LieAlgebra("h", ("x", "y", "z"), {(0, 1): {2: F(4, 2)}})
+        assert made == [F(2)] and L.den == 1 and type(L._num[(0, 1)][2]) is int
+        with pytest.raises(TypeError, match="float"):
+            LieAlgebra("bad", ("x", "y", "z"), {(0, 1): {2: 0.5}})
+        with pytest.raises(ValidationError, match="out of range"):
+            LieAlgebra("bad", ("x", "y", "z"), {(0, 1): {3: 1}})
+
     def test_equal_tables_have_equal_fingerprints(self):
         labels = ("x", "y", "z")
         half = [

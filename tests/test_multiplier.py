@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nilmult
-from nilmult import exactlin, fdlie, multiplier, verify
+from nilmult import exactlin, fdlie, freelie, multiplier, verify
 from nilmult.exactlin import ContainmentError, Subspace
 from nilmult.fdlie import LieAlgebra, NotNilpotentError, abelian, direct_sum, heisenberg, series
 from nilmult.freelie import (
-    DIM_CAP,
     MEMO_SIZE,
+    DimensionCapError,
     FreeNilpotentAlgebra,
     HashedKey,
     clear_caches,
@@ -106,6 +106,14 @@ class TestPresent:
         with pytest.raises(ValueError, match="index -3 outside"):
             present(h1, 1, lift=[{-3: 1}, {1: 1}])
 
+    @pytest.mark.parametrize("lift", [
+        [{0.9: 1}, {1: 1}],  # once read as e_0
+        [{True: 1}, {0: 1}],  # once read as e_1
+    ])
+    def test_lift_coordinate_must_be_an_int(self, h1, lift):
+        with pytest.raises(ValueError, match="lift coordinates must be ints"):
+            present(h1, 1, lift=lift)
+
     def test_lift_with_wrong_count(self, h1):
         with pytest.raises(ValueError):
             present(h1, 1, lift=[{0: F(1)}])
@@ -139,8 +147,10 @@ class TestPresent:
         # a class-1 report for H(1) makes [x, y] a length-(k+1) word whose
         # image must vanish; it does not, and that is an error, not an assert
         monkeypatch.setattr(multiplier, "nilpotent_series", lambda L: series(abelian(3)))
+        clear_caches()
         with pytest.raises(PresentationError, match="length-2"):
-            present(h1, 1, dim_cap=DIM_CAP + 1)
+            present(h1, 1)
+        clear_caches()
 
     @staticmethod
     def moved_shapes(rng):
@@ -204,7 +214,7 @@ class TestPresent:
         pres = present(h1, 1)
         bad = Subspace.coordinate_span(pres.ambient.dim, [0])
         with pytest.raises(PresentationError, match="rank-nullity"):
-            Presentation(pres.ambient, bad, pres.k, 1, h1, pres.images)
+            Presentation(pres.ambient, bad, pres.k, 1, h1, pres.images, pres.chain)
 
 
 class TestSubidealBracket:
@@ -339,20 +349,23 @@ class TestClosureChain:
                 assert pres.multiplier == multiplier.MultiplierReport(c, dimension, words), (L.name, c)
 
     def test_closure_outside_the_numerator_raises_with_witness(self):
-        # H(1) at c = 2: the generator x is not in γ_3(F)
-        pres = present(heisenberg(1), 2, dim_cap=DIM_CAP + 1)
+        # H(1) at c = 2: the generator x is not in γ_3(F); each broken
+        # closure is set on a presentation that leaves the memo with it
+        clear_caches()
+        pres = present(heisenberg(1), 2)
         pres.__dict__["closure"] = Subspace.coordinate_span(pres.ambient.dim, [0])
         with pytest.raises(ContainmentError, match="not in R") as err:
             pres.multiplier
         assert err.value.witness == {0: 1}
         # N(2,4) at c = 1: [y, x] lies in γ_2(F), but R_{≤4} = 0
         N = fdlie.from_free_nilpotent(FreeNilpotentAlgebra(2, 4), "N(2,4)")
-        pres = present(N, 1, dim_cap=DIM_CAP + 1)
+        pres = present(N, 1)
         yx = pres.ambient.stratum_starts[2]
         pres.__dict__["closure"] = Subspace._from_rows(pres.ambient.dim, [{yx: 2, pres.ambient.dim - 1: 4}])
         with pytest.raises(ContainmentError) as err:
             pres.multiplier
         assert err.value.witness == {yx: 1, pres.ambient.dim - 1: 2}
+        clear_caches()
 
 
 class TestClosureCost:
@@ -364,7 +377,8 @@ class TestClosureCost:
         # kept, and 0.87 M with both
         n23 = fdlie.from_free_nilpotent(FreeNilpotentAlgebra(2, 3), "N(2,3)")
         L = fdlie.random_basis_change(direct_sum(heisenberg(1), n23), random.Random(0))
-        pres = present(L, 3, dim_cap=DIM_CAP + 1)
+        clear_caches()
+        pres = present(L, 3)
         touched = [0]
         eliminate = exactlin._eliminate
 
@@ -375,6 +389,7 @@ class TestClosureCost:
         monkeypatch.setattr(exactlin, "_eliminate", counting)
         assert pres.closure.rank == 853
         assert 0 < touched[0] <= 890_000
+        clear_caches()
 
 
 class TestNilpotentMultiplier:
@@ -424,16 +439,21 @@ class TestNilpotentMultiplier:
                 ambient_words = {str(w) for w in present(L, c).ambient.basis}
                 assert set(rep.basis_words) <= ambient_words
 
-    def test_weight_three_needs_opt_in(self):
-        with pytest.raises(ValueError, match="opt_in_high_weight"):
-            nilpotent_multiplier(abelian(2), 3)
+    def test_weight_three_past_the_cap_is_refused(self):
+        # c = 3 needs no opt-in: the cap alone refuses the ambient F(8, 5)
+        # of H(4), and does so before any free algebra is built
+        clear_caches()
+        with pytest.raises(DimensionCapError, match="rank 8 and class 5 has dimension 7764, cap is 5000"):
+            nilpotent_multiplier(heisenberg(4), 3)
+        assert not any(isinstance(v, FreeNilpotentAlgebra) for v in freelie._memo.values())
+        assert nilpotent_multiplier(heisenberg(4), 3, dim_cap=7764).dimension == 1008
 
     def test_weight_three_abelian(self):
         # for abelian algebras the relations are the whole derived subalgebra,
         # so the weight-c multiplier is exactly the weight-(c+1) stratum
-        got = nilpotent_multiplier(abelian(2), 3, opt_in_high_weight=True)
+        got = nilpotent_multiplier(abelian(2), 3)
         assert got.dimension == witt(2, 4) == 3
-        got = nilpotent_multiplier(abelian(3), 3, opt_in_high_weight=True)
+        got = nilpotent_multiplier(abelian(3), 3)
         assert got.dimension == witt(3, 4) == 18
 
     def test_weight_must_be_positive(self, h1):
@@ -474,8 +494,10 @@ class TestZStar:
         assert z_star(a1, 1) == Subspace.full(1)
 
     def test_weight_range(self, h1):
-        with pytest.raises(ValueError):
-            z_star(h1, 3)
+        with pytest.raises(ValueError, match="must be >= 1"):
+            z_star(h1, 0)
+        with pytest.raises(DimensionCapError):
+            z_star(heisenberg(4), 3)
 
     def test_contained_in_upper_central_term(self, corpus):
         for L in corpus:
@@ -495,11 +517,11 @@ class TestZStar:
         for L in corpus:
             assert z_star(L, 2).contains_subspace(z_star(L, 1)), L.name
 
-    def test_weight_three_with_opt_in(self, h1, h2):
-        assert z_star(h1, 3, opt_in_high_weight=True).is_zero
+    def test_weight_three(self, h1, h2):
+        assert z_star(h1, 3).is_zero
         # the line of z, the last basis vector of H(2)
-        assert z_star(h2, 3, opt_in_high_weight=True) == Subspace.coordinate_span(5, [4])
-        assert z_star(abelian(1), 3, opt_in_high_weight=True) == Subspace.full(1)
+        assert z_star(h2, 3) == Subspace.coordinate_span(5, [4])
+        assert z_star(abelian(1), 3) == Subspace.full(1)
 
 
 def epicenter_shapes() -> list[LieAlgebra]:
@@ -581,7 +603,7 @@ class TestEpicenterSolve:
         a, b = [w for w in range(F.stratum_starts[2], F.stratum_starts[3]) if w not in pivots]
         images = list(pres.images)
         images[b] = images[a]
-        bad = Presentation(F, pres.short_relations, pres.k, 1, L, tuple(images))
+        bad = Presentation(F, pres.short_relations, pres.k, 1, L, tuple(images), pres.chain)
         with pytest.raises(PresentationError, match="rank"):
             bad.epicenter
 
@@ -595,11 +617,11 @@ class TestCentralLineCriterion:
         lines = inside = 0
         for L in algebras:
             for c in weights:
-                z = z_star(L, c, opt_in_high_weight=True)
-                m = nilpotent_multiplier(L, c, opt_in_high_weight=True).dimension
+                z = z_star(L, c)
+                m = nilpotent_multiplier(L, c).dimension
                 gamma = series(L).gamma(c + 1)
                 for I in verify.central_lines(L, random.Random(5)):
-                    quot = nilpotent_multiplier(fdlie.quotient(L, I), c, opt_in_high_weight=True)
+                    quot = nilpotent_multiplier(fdlie.quotient(L, I), c)
                     assert z.contains_subspace(I) == (quot.dimension == m + I.intersect(gamma).rank), \
                         (L.name, c, I.integer_rows())
                     lines += 1
@@ -657,6 +679,26 @@ class TestClosureMemo:
         # one chain: C_1 = [R, F] in F(8, 3), then C_2 = [C_1, F] in F(8, 4)
         report(heisenberg(4), 2)
         assert [(s.ambient_dim, s.rank) for s in cold] == [(204, 168), (1212, 1008)]
+
+    def test_report_under_a_raised_cap_builds_each_closure_once(self, cold):
+        # the same one chain under any cap: C_1 in F(12, 3), then C_2 in
+        # F(12, 4), shared by the multiplier, the bounds and both verdicts
+        out = report(heisenberg(6), 2, dim_cap=10**6)
+        assert (out["dim_multiplier"], out["capable"], out["two_capable"]) == (572, False, False)
+        assert [s.ambient_dim for s in cold] == [650, 5798]
+
+    def test_cap_is_checked_on_every_memo_hit(self, cold):
+        pres = present(heisenberg(6), 2, dim_cap=10**6)
+        assert present(heisenberg(6), 2, dim_cap=10**6) is pres
+        assert present(heisenberg(6), 2, dim_cap=5798) is pres
+        # what the memo holds never decides whether a call answers
+        with pytest.raises(DimensionCapError, match="rank 12 and class 4 has dimension 5798, cap is 5000"):
+            present(heisenberg(6), 2)
+        assert present(heisenberg(1), 2).ambient.dim == 8
+        with pytest.raises(DimensionCapError, match="dimension 8, cap is 7"):
+            nilpotent_multiplier(heisenberg(1), 2, dim_cap=7)
+        with pytest.raises(DimensionCapError, match="dimension 8, cap is 7"):
+            report(heisenberg(1), 2, dim_cap=7)
 
     def test_report_solves_the_relations_once(self, cold, monkeypatch):
         sizes = []
@@ -755,15 +797,39 @@ class TestWittOracles:
     def test_abelian(self, c):
         # R = γ_2(F), so M^(c)(A(n)) = γ_{c+1}(F)/γ_{c+2}(F)
         for n in range(1, 5):
-            got = nilpotent_multiplier(abelian(n), c, opt_in_high_weight=True).dimension
+            got = nilpotent_multiplier(abelian(n), c).dimension
             assert got == witt(n, c + 1) == oracles.lyndon_count(n, c + 1), (n, c)
 
     @pytest.mark.parametrize("d, k, c", [(3, 3, 2), (4, 3, 2), (3, 4, 2), (2, 6, 2), (2, 2, 3), (2, 2, 4)])
     def test_free_nilpotent(self, d, k, c):
         # N(d,k) = F/γ_{k+1}(F), so M^(c) = γ_{max(k,c)+1}(F)/γ_{k+c+1}(F)
         L = fdlie.from_free_nilpotent(FreeNilpotentAlgebra(d, k), f"N({d},{k})")
-        got = nilpotent_multiplier(L, c, opt_in_high_weight=True).dimension
+        got = nilpotent_multiplier(L, c).dimension
         assert got == sum(oracles.lyndon_count(d, j) for j in range(max(k, c) + 1, k + c + 1))
+
+
+class TestChevalleyEilenberg:
+    """M(L) = H_2(L), by elimination on the exterior powers of L alone."""
+
+    def test_schur_multiplier_is_h2(self):
+        for L in truncation_shapes():
+            want = oracles.h2_by_chevalley_eilenberg(L)
+            assert nilpotent_multiplier(L, 1).dimension == want, L.name
+
+
+class TestBeyondThePaper:
+    """Weight c = 3 points computed by nilmult, with no closed form in the
+    source paper: observations for comparison, not theorems."""
+
+    @pytest.mark.parametrize("m, dim_m3, rank_z3", [
+        (1, witt(2, 4) + witt(2, 5), 0),
+        (2, witt(4, 4), 1),
+        (3, witt(6, 4), 1),
+    ])
+    def test_heisenberg_weight_three(self, m, dim_m3, rank_z3):
+        L = heisenberg(m)
+        assert nilpotent_multiplier(L, 3).dimension == dim_m3 == {1: 9, 2: 60, 3: 315}[m]
+        assert z_star(L, 3).rank == rank_z3
 
 
 class TestCapability:
