@@ -35,9 +35,10 @@ class ContainmentError(ValueError):
 
 
 def _as_fraction(x) -> Fraction:
+    """``x`` as a Fraction; a bool is refused, not read as 0 or 1."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"exact coefficient expected (int or Fraction), got {type(x).__name__}")
 
@@ -71,6 +72,8 @@ def _int_row(vec) -> IntRow:
         items = enumerate(vec)
     frac: dict[int, Fraction] = {}
     for c, v in items:
+        if c is True or c is False:
+            raise TypeError(f"vector index {c!r} is a bool, not an int")
         f = _as_fraction(v)
         if f:
             frac[c] = f
@@ -291,8 +294,10 @@ class Subspace:
         den = 1
         items = vector.items() if isinstance(vector, Mapping) else enumerate(vector)
         for c, x in items:
-            if not isinstance(x, (int, Fraction)):
-                _as_fraction(x)  # raises TypeError
+            if c is True or c is False:
+                raise TypeError(f"vector index {c!r} is a bool, not an int")
+            if type(x) is not int and not isinstance(x, Fraction):
+                _as_fraction(x)  # raises TypeError unless x is exact; a bool is not
             if x:
                 if not 0 <= c < n:
                     raise ValueError(f"vector index {c} outside ambient dimension {n}")

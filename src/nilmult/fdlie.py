@@ -53,11 +53,18 @@ class NotNilpotentError(ValueError):
         self.stabilized = stabilized
 
 
+def _is_int(x) -> bool:
+    """An int but not a bool: True as an index or a count is a mistake, not 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _clean_combo(combo: Mapping[int, object], dim: int, where: str) -> Combo:
     """The non-zero entries of ``combo``, an integral value as an ``int``."""
     out: Combo = {}
     for k, v in combo.items():
-        if not isinstance(k, int) or not 0 <= k < dim:
+        if not _is_int(k):
+            raise ValidationError(f"{where}: basis index {k!r} is not an int", where)
+        if not 0 <= k < dim:
             raise ValidationError(f"{where}: basis index {k!r} out of range", where)
         f = v if type(v) is int else _as_fraction(v)
         if f:
@@ -84,9 +91,9 @@ class LieAlgebra:
         self.dim = len(self.basis_labels)
         table: dict[tuple[int, int], Combo] = {}
         for (i, j), combo in brackets.items():
-            if not (0 <= i < j < self.dim):
+            if not (_is_int(i) and _is_int(j) and 0 <= i < j < self.dim):
                 raise ValidationError(
-                    f"bracket key ({i},{j}) must satisfy 0 <= i < j < dim", (i, j)
+                    f"bracket key ({i!r},{j!r}) must be ints with 0 <= i < j < dim", (i, j)
                 )
             cleaned = _clean_combo(combo, self.dim, f"bracket ({i},{j})")
             if cleaned:
@@ -487,7 +494,7 @@ def from_json_dict(obj) -> LieAlgebra:
     name, dim, basis, brackets = obj["name"], obj["dim"], obj["basis"], obj["brackets"]
     if not isinstance(name, str):
         raise ValidationError("field 'name' must be a string", "name")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
+    if not _is_int(dim) or dim < 0:
         raise ValidationError("field 'dim' must be a nonnegative integer", "dim")
     if not isinstance(basis, list) or any(not isinstance(s, str) for s in basis):
         raise ValidationError("field 'basis' must be a list of strings", "basis")
@@ -504,7 +511,7 @@ def from_json_dict(obj) -> LieAlgebra:
             if field not in entry:
                 raise ValidationError(f"{where} missing field {field!r}", where)
         i, j, value = entry["i"], entry["j"], entry["value"]
-        if not isinstance(i, int) or not isinstance(j, int) or isinstance(i, bool) or isinstance(j, bool):
+        if not (_is_int(i) and _is_int(j)):
             raise ValidationError(f"{where}: 'i' and 'j' must be integers", where)
         if not 0 <= i < dim or not 0 <= j < dim:
             raise ValidationError(f"{where}: index out of range for dim {dim}", where)
@@ -520,7 +527,7 @@ def from_json_dict(obj) -> LieAlgebra:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ValidationError(f"{vwhere} must be a [index, coefficient] pair", vwhere)
             k, coeff = pair
-            if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k < dim:
+            if not _is_int(k) or not 0 <= k < dim:
                 raise ValidationError(f"{vwhere}: index out of range for dim {dim}", vwhere)
             if k in combo:
                 raise ValidationError(f"{vwhere}: duplicate index {k}", vwhere)

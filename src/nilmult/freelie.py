@@ -382,14 +382,37 @@ def span_bracket_rows(
     components of a row too heavy for a word are skipped before bracketing.
     The products are inserted shortest first, so the sparse ones take the
     pivots and the long ones mostly reduce against them.
+
+    Two rules rest on one lemma: the words of weight n >= 2 are spanned by
+    the brackets [u, g] of a word u of weight n - 1 with a generator g.
+
+    * Carry.  If ``rows`` hold the unit row of every word of weight
+      top - 1, the span holds every word of weight ``top``.  Those unit
+      rows are returned as they are, and the products of the other rows
+      are only needed on the lighter words, so they are cut to top - 1.
+    * Fill.  Every product lies in the words of weight w + 1 .. ``top``,
+      for w the lightest weight that a row touches.  Once the products
+      span all of that block, its unit rows are the answer, and the
+      products not yet inserted cannot add to it.
     """
-    if top is None:
+    if top is None or top > F.nilpotency_class:
         top = F.nilpotency_class
     starts = F.stratum_starts
+    carried: list[IntRow] = []
+    if top >= 2:
+        lo, hi = starts[top - 1], starts[top]
+        units = {min(row) for row in rows if len(row) == 1 and lo <= min(row) < hi}
+        if len(units) == hi - lo:
+            rows = [row for row in rows if len(row) != 1 or min(row) not in units]
+            carried = [{j: 1} for j in range(hi, starts[top + 1])]
+            top -= 1
     products = []
+    lightest = top
     for row in rows:
         items = sorted(row.items())
-        for wj in range(1, top - F.weight(items[0][0]) + 1):
+        weight = F.weight(items[0][0])
+        lightest = min(lightest, weight)
+        for wj in range(1, top - weight + 1):
             cut = starts[top - wj + 1]
             part = {i: ci for i, ci in items if i < cut}
             for j in range(starts[wj], starts[wj + 1]):
@@ -397,7 +420,9 @@ def span_bracket_rows(
                 if prod:
                     products.append(prod)
     products.sort(key=len, reverse=True)
+    block = range(starts[lightest + 1], starts[top + 1])
     sp = _Spanner()
     while products:  # popped, so each product is freed once inserted
-        sp.insert(_primitive(products.pop()))
-    return sp.canonical()
+        if sp.insert(_primitive(products.pop())) and sp.rank == len(block):
+            return [{j: 1} for j in block] + carried
+    return sp.canonical() + carried

@@ -17,6 +17,15 @@ F(d, k+t−1) is a prefix of that of F(d, k+t), with the same table, so each
 C_t carries over to the next ambient unchanged.  The presentations of one
 algebra at every weight share that chain, the images and R_{≤k}.
 
+Each step runs through :func:`~nilmult.freelie.span_bracket_rows`, whose
+two shortcuts rest on one lemma: the words of weight n >= 2 are spanned by
+the [u, g] with u of weight n − 1 and g a generator.  So a C_{t−1} that
+holds every word of weight k + t − 1 gives a C_t that holds every word of
+weight k + t (carry), and a step whose products already span every weight
+they can reach stops inserting (fill).  For H(m) with m >= 2,
+dim M(H(m)) = 2m² − m − 1 says that C_1 = γ_3(F), so C_t = γ_{t+2}(F) at
+every t, and M^(c)(H(m)) = γ_{c+1}(F)/γ_{c+2}(F) for c >= 2.
+
 The epicenter is solved on dim L unknowns: R/[R,F,…,F] is central of
 depth c, so only the words that map onto a basis of L need testing, and
 only against generators, which costs dim L · d^c brackets for d generators.

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilmult.exactlin import ContainmentError, Subspace, _kernel_of_map, _kernel_rows, _Spanner
+from nilmult.exactlin import ContainmentError, Subspace, _as_fraction, _kernel_of_map, _kernel_rows, _Spanner
 from nilmult.fdlie import from_free_nilpotent, heisenberg, random_basis_change, upper_centrals
 from nilmult.freelie import free_nilpotent
 from nilmult.multiplier import present, subideal_bracket
@@ -364,6 +364,27 @@ class TestSubspaceBasics:
         assert Subspace.full(3).rank == 3
         assert Subspace.zero(3).rank == 0
         assert Subspace.full(0).rank == 0
+
+
+class TestBoolRefused:
+    """A bool is an int to Python, but True as an index or a coefficient is
+    a caller's mistake: it is refused, not read as 1."""
+
+    def test_bool_index(self):
+        with pytest.raises(TypeError, match="index True is a bool"):
+            Subspace(3, [{True: 1}])
+        with pytest.raises(TypeError, match="index False is a bool"):
+            Subspace.full(3).reduce({False: 1})
+
+    def test_bool_coefficient(self):
+        with pytest.raises(TypeError, match="got bool"):
+            Subspace(3, [{1: True}])
+        with pytest.raises(TypeError, match="got bool"):
+            Subspace(3, [[0, False, 1]])
+        with pytest.raises(TypeError, match="got bool"):
+            Subspace.full(3).reduce({0: True})
+        with pytest.raises(TypeError, match="got bool"):
+            _as_fraction(True)
 
 
 def _assert_canonical(name, S):

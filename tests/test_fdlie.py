@@ -353,6 +353,31 @@ class TestJson:
         assert pairs == sorted(pairs)
 
 
+class TestBoolRefused:
+    """A bool used as a basis index or a coefficient is refused on the way
+    in, so what ``dumps`` writes ``loads`` reads back."""
+
+    labels = ("x", "y", "z")
+
+    def test_bool_index_and_coefficient(self):
+        with pytest.raises(ValidationError, match="index True is not an int"):
+            LieAlgebra("b", self.labels, {(0, 1): {True: True}})
+        with pytest.raises(TypeError, match="got bool"):
+            LieAlgebra("b", self.labels, {(0, 1): {1: True}})
+        with pytest.raises(ValidationError, match="must be ints"):
+            LieAlgebra("b", self.labels, {(False, 1): {1: 1}})
+        with pytest.raises(TypeError, match="got bool"):
+            validate("b", self.labels, [[[0, 0, 0], [0, True, 0], [0, 0, 0]]] * 3)
+
+    def test_dumps_loads_round_trip(self):
+        # the algebra {True: True} was read as: [x, y] = y
+        L = LieAlgebra("b", self.labels, {(0, 1): {1: 1}})
+        text = dumps(L)
+        assert "true" not in text
+        back = loads(text)
+        assert back.fingerprint == L.fingerprint and dumps(back) == text
+
+
 class TestRandomBasisChange:
     def test_preserves_series_data(self, h2):
         rng = random.Random(31)

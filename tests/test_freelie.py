@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilmult import freelie
-from nilmult.fdlie import from_free_nilpotent
+from nilmult.exactlin import Subspace
+from nilmult.fdlie import from_free_nilpotent, heisenberg
 from nilmult.freelie import (
     DimensionCapError,
     FreeNilpotentAlgebra,
@@ -21,8 +22,11 @@ from nilmult.freelie import (
     span_bracket_rows,
     witt,
 )
+from nilmult.multiplier import present
 
-from oracles import AssocPoly, expand_combination, expand_hall_word, jacobi_table_by_recursion, lyndon_count
+from oracles import (
+    AssocPoly, closure_by_every_word, expand_combination, expand_hall_word, jacobi_table_by_recursion, lyndon_count,
+)
 
 
 class TestWitt:
@@ -318,3 +322,62 @@ class TestSpanBracketRows:
         # a mixed row keeps the products of its light part only
         mixed = {0: 1, starts[3]: 1}
         assert span_bracket_rows(F, [mixed], 3) == span_bracket_rows(F, [{0: 1}], 3)
+
+
+class TestSpanBracketRules:
+    """When the kernel's carry and fill rules fire, and that the answer is
+    the same when neither does."""
+
+    @staticmethod
+    def count_work(monkeypatch) -> dict:
+        calls = {"bracket": 0, "product": 0, "insert": 0, "canonical": 0}
+        bracket = FreeNilpotentAlgebra.bracket_row_index
+
+        def counted_bracket(self, row, j):
+            out = bracket(self, row, j)
+            calls["bracket"] += 1
+            calls["product"] += bool(out)
+            return out
+
+        class CountedSpanner(freelie._Spanner):
+            __slots__ = ()
+
+            def insert(self, vec):
+                calls["insert"] += 1
+                return super().insert(vec)
+
+            def canonical(self):
+                calls["canonical"] += 1
+                return super().canonical()
+
+        monkeypatch.setattr(FreeNilpotentAlgebra, "bracket_row_index", counted_bracket)
+        monkeypatch.setattr(freelie, "_Spanner", CountedSpanner)
+        return calls
+
+    def test_full_stratum_is_carried_without_products(self, monkeypatch):
+        F = free_nilpotent(3, 3)
+        starts = F.stratum_starts
+        calls = self.count_work(monkeypatch)
+        out = span_bracket_rows(F, [{j: 1} for j in range(starts[2], starts[3])])
+        assert calls["bracket"] == 0
+        assert out == [{j: 1} for j in range(starts[3], starts[4])]
+
+    def test_filled_block_stops_inserting(self, monkeypatch):
+        # R_{≤2} of H(3) brackets onto all 70 words of weight 3 of F(6, 3)
+        pres = present(heisenberg(3), 1)
+        F = pres.ambient
+        starts = F.stratum_starts
+        calls = self.count_work(monkeypatch)
+        out = span_bracket_rows(F, pres.short_relations.integer_rows(), 3)
+        assert out == [{j: 1} for j in range(starts[3], starts[4])] and len(out) == witt(6, 3) == 70
+        assert calls["insert"] < calls["product"] and calls["canonical"] == 0
+
+    def test_one_unit_row_short_fires_neither_rule(self, monkeypatch):
+        F = free_nilpotent(3, 3)
+        starts = F.stratum_starts
+        rows = [{j: 1} for j in range(starts[2] + 1, starts[3])]
+        want = closure_by_every_word(Subspace(F.dim, rows), F, 1)
+        calls = self.count_work(monkeypatch)
+        out = span_bracket_rows(F, rows)
+        assert calls["bracket"] > 0 and calls["insert"] == calls["product"] and calls["canonical"] == 1
+        assert out == list(want.integer_rows()) and len(out) < witt(3, 3)

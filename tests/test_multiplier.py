@@ -20,6 +20,7 @@ from nilmult.freelie import (
     HashedKey,
     clear_caches,
     free_nilpotent,
+    span_bracket_rows,
     witt,
 )
 from nilmult.multiplier import (
@@ -289,6 +290,28 @@ class TestWeightTruncation:
         ))
         S = Subspace(F.dim, rows)
         assert subideal_bracket(S, F, depth) == oracles.closure_by_every_word(S, F, depth)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_random_subspaces_with_a_full_stratum_match_untruncated(self, data):
+        # with every unit row of stratum s, a bracketing cut at weight s + 1
+        # carries the stratum above instead of forming its products
+        F = data.draw(st.sampled_from([FreeNilpotentAlgebra(2, 5), FreeNilpotentAlgebra(3, 4)]))
+        K, starts = F.nilpotency_class, F.stratum_starts
+        s = data.draw(st.integers(1, K - 1))
+        entry = st.integers(-3, 3).filter(bool)
+        rows = data.draw(st.lists(
+            st.dictionaries(st.integers(0, F.dim - 1), entry, min_size=1, max_size=4), max_size=5,
+        ))
+        mixed = data.draw(st.permutations(rows + [{j: 1} for j in range(starts[s], starts[s + 1])]))
+        S = Subspace(F.dim, mixed)
+        # the first of K - s bracketings is cut at weight s + 1
+        assert subideal_bracket(S, F, K - s) == oracles.closure_by_every_word(S, F, K - s)
+        # the drawn rows themselves, neither homogeneous nor canonical
+        light = starts[s + 2]
+        whole = oracles.closure_by_every_word(S, F, 1).integer_rows()
+        want = Subspace(F.dim, [{j: v for j, v in row.items() if j < light} for row in whole])
+        assert span_bracket_rows(F, mixed, s + 1) == list(want.integer_rows())
 
 
 _untruncated: dict = {}
