@@ -7,7 +7,9 @@ equivalent to rational Gauss-Jordan elimination but avoids per-entry
 the unique fully reduced (canonical) basis of such rows inside a fixed
 ambient coordinate space, so equal subspaces compare equal structurally, and
 it keeps a pivot -> row index so that reducing a vector touches only the
-pivots the vector hits.
+pivots the vector hits.  Reduction stays on integers: the residue of an
+integer row is a scale s and s times its residual, and ``Subspace.reduce``
+is the ``Fraction`` view of it.
 
 Every kernel the package needs (the relation kernel of a presentation, the
 epicenter's constraints, each term of the upper central series) is one
@@ -180,22 +182,26 @@ def _kernel_rows(n: int, canonical_rows: list[IntRow]) -> list[IntRow]:
     return sorted([*units, *sp.canonical()], key=min)
 
 
-def _kernel_of_map(images: Sequence[Mapping[Hashable, Coeff]]) -> list[IntRow]:
+def _kernel_of_map(images: Sequence[Mapping[Hashable, Coeff] | tuple[int, Mapping[Hashable, int]]]) -> list[IntRow]:
     """Canonical basis rows of {x : Σ_t x_t · images[t] = 0}.
 
     ``images[t]`` is the sparse image of unknown t, over any hashable
-    coordinates.  Unknown t is cleared of denominators by its own scale s_t,
-    so the solve runs on integers in y_t = x_t / s_t; each kernel row is
-    scaled back, which keeps a fully reduced row fully reduced.
+    coordinates: a mapping of exact values, or a pair (s, row) of a scale
+    and an integer row standing for row / s, as a residue is.  Unknown t is
+    cleared of denominators by its own scale s_t, so the solve runs on
+    integers in y_t = x_t / s_t; each kernel row is scaled back, which keeps
+    a fully reduced row fully reduced.
     """
     scale = []
     constraints: dict[Hashable, IntRow] = {}
     for t, image in enumerate(images):
-        s = math.lcm(*[v.denominator for v in image.values() if type(v) is not int])
+        if isinstance(image, tuple):
+            s, image = image
+        else:
+            s = math.lcm(*[v.denominator for v in image.values() if type(v) is not int])
+            image = {col: v.numerator * (s // v.denominator) for col, v in image.items()}
         scale.append(s)
         for col, v in image.items():
-            if s != 1 or type(v) is not int:
-                v = v.numerator * (s // v.denominator)
             if v:
                 constraints.setdefault(col, {})[t] = v
     sp = _Spanner()
@@ -284,10 +290,10 @@ class Subspace:
         """Residual of ``vector`` after eliminating this basis; {} iff member.
 
         The result is supported on non-pivot columns only, so it is the
-        canonical representative of ``vector`` modulo this subspace.  The
-        rows are mutually reduced, so clearing one pivot never creates
-        another: the cost scales with the pivots the vector hits, not with
-        the rank of the subspace.
+        canonical representative of ``vector`` modulo this subspace.  It is
+        the ``Fraction`` view of :meth:`_residue`: ``vector`` is cleared of
+        denominators by their lcm ``den``, and (s, w) = ``_residue`` of that
+        integer row gives the residual w / (s · den).
         """
         n = self.ambient_dim
         v: dict[int, Coeff] = {}
@@ -305,30 +311,42 @@ class Subspace:
                 d = x.denominator
                 if d != 1:
                     den = den * d // math.gcd(den, d)
+        s, w = self._residue({c: x.numerator * (den // x.denominator) for c, x in v.items()})
+        s *= den
+        return {c: Fraction(x, s) for c, x in w.items()}
+
+    def _residue(self, row: Mapping[int, int]) -> tuple[int, IntRow]:
+        """The integer residue (s, s·(row mod S)) of a sparse integer row.
+
+        s is the lcm of the pivot entries that ``row`` hits, so each basis
+        row is subtracted a whole number of times and the residue stays on
+        integers; it is supported on non-pivot columns only, and empty iff
+        ``row`` is a member.  The rows are mutually reduced, so clearing one
+        pivot never creates another: the cost scales with the pivots the row
+        hits, not with the rank of the subspace.  ``row`` is trusted: its
+        indices lie in the ambient and its values are ints.
+        """
         by_pivot = self._by_pivot
-        hit = sorted(c for c in v if c in by_pivot)
-        # scale * v is integral, and row[p] divides scale * v[p] for every
-        # hit pivot p, so each row is subtracted an integer number of times
+        hit = sorted(c for c in row if c in by_pivot)
         scale = 1
         for p in hit:
             a = by_pivot[p][p]
             scale = scale * a // math.gcd(scale, a)
-        scale *= den
-        w = {c: x.numerator * (scale // x.denominator) for c, x in v.items()}
+        w = dict(row) if scale == 1 else {c: x * scale for c, x in row.items()}
         for p in hit:
-            row = by_pivot[p]
-            f = w[p] // row[p]
-            for c, rv in row.items():
+            basis_row = by_pivot[p]
+            f = w[p] // basis_row[p]
+            for c, rv in basis_row.items():
                 m = w.get(c, 0) - f * rv
                 if m:
                     w[c] = m
                 else:
                     del w[c]
-        return {c: Fraction(x, scale) for c, x in w.items()}
+        return scale, w
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(not self.reduce(r) for r in other._rows)
+        return all(not self._residue(r)[1] for r in other._rows)
 
     def _check_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:

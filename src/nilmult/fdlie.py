@@ -140,11 +140,19 @@ class LieAlgebra:
                 (t, a, b) if t < a else (a, t, b) if t < b else (a, b, t)
                 for t in range(n) if t != a and t != b
             )
+        cols = _columns(self)
         for i, j, k in sorted(triples):
             acc: IntRow = {}
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                for t, v in self._ibracket(self._ibracket({a: 1}, {b: 1}), {c: 1}).items():
-                    acc[t] = acc.get(t, 0) + v
+                ab = cols[b].get(a)
+                if ab:
+                    # [[e_a, e_b], e_c] = Σ_t [e_a, e_b]_t·[e_t, e_c]
+                    col = cols[c]
+                    for t, v in ab.items():
+                        tc = col.get(t)
+                        if tc:
+                            for q, w in tc.items():
+                                acc[q] = acc.get(q, 0) + v * w
             if any(acc.values()):
                 raise ValidationError(
                     f"Jacobi identity fails on basis triple ({i + 1},{j + 1},{k + 1})",
@@ -278,24 +286,90 @@ class SeriesReport:
         return self.upper[min(k, len(self.upper)) - 1]
 
 
+def _columns(L: LieAlgebra) -> list[dict[int, IntRow]]:
+    """The column index of L's table: ``cols[j][i]`` = den·[e_i, e_j] for
+    each stored pair joining i and j."""
+    cols: list[dict[int, IntRow]] = [{} for _ in range(L.dim)]
+    for (i, j), combo in L._num.items():
+        cols[j][i] = combo
+        cols[i][j] = {k: -v for k, v in combo.items()}
+    return cols
+
+
+def _bracket_column(x: Mapping[int, int], col: dict[int, IntRow]) -> IntRow:
+    """den·[x, e_j] for an integer row x, from the column ``col`` = cols[j]."""
+    out: IntRow = {}
+    for i, xi in x.items():
+        combo = col.get(i)
+        if combo:
+            for k, ck in combo.items():
+                n = out.get(k, 0) + xi * ck
+                if n:
+                    out[k] = n
+                else:
+                    del out[k]
+    return out
+
+
+def _generating_units(L: LieAlgebra, cols: list[dict[int, IntRow]], derived: Subspace) -> list[int]:
+    """Indices of unit vectors that generate L as an algebra.
+
+    They start as the units off the pivots of L², which span L modulo L²
+    and so generate L when L is nilpotent; the units off the pivots of the
+    subalgebra those generate complete them in any case.  That subalgebra
+    is the span of the left-normed brackets of the units, closed under
+    [·, e_j] for each unit e_j; the closure stops once it is all of L.
+    """
+    n = L.dim
+    units = [j for j in range(n) if j not in derived.pivots]
+    sp = _Spanner()
+    frontier: list[IntRow] = [{j: 1} for j in units]
+    for row in frontier:
+        sp.insert(row)
+    while frontier and sp.rank < n:
+        grown = []
+        for row in frontier:
+            for j in units:
+                prod = _bracket_column(row, cols[j])
+                if prod and sp.insert(prod):
+                    grown.append(prod)
+        frontier = grown
+    # an echelon basis has the same pivot columns as the canonical one
+    return units + [j for j in range(n) if j not in sp.rows]
+
+
 def _lower_centrals(L: LieAlgebra) -> list[Subspace]:
-    partners: dict[int, set[int]] = {}
-    for i, j in L._num:
-        partners.setdefault(i, set()).add(j)
-        partners.setdefault(j, set()).add(i)
-    chain = [Subspace.full(L.dim)]
-    while chain[-1].rank:
+    """γ₁, γ₂, … until the series reaches 0 or repeats its last term.
+
+    γ₂ is the span of the stored table values.  For Y a set of units that
+    generates L, γ_{t+1} = W := span{[x, y] : x a row of γ_t, y ∈ Y}: by
+    Jacobi the u with [γ_t, u] ⊆ W form a subalgebra, since W lies in the
+    ideal γ_t, and it holds Y, so it is L.  For nilpotent L, Y is the d
+    generators.
+    """
+    n = L.dim
+    chain = [Subspace.full(n)]
+    if not n:
+        return chain
+    sp = _Spanner()
+    for combo in L._num.values():
+        sp.insert(combo)
+    chain.append(Subspace.from_spanner(n, sp))
+    if chain[-1].rank in (0, n):
+        return chain
+    cols = _columns(L)
+    gens = _generating_units(L, cols, chain[-1])
+    while True:
         sp = _Spanner()
         for row in chain[-1].integer_rows():
-            # [row, e_j] vanishes unless a stored pair joins j to row's support
-            for j in sorted(set().union(*(partners.get(i, ()) for i in row))):
-                sp.insert(L._ibracket(row, {j: 1}))
-        nxt = Subspace.from_spanner(L.dim, sp)
-        if nxt.rank == chain[-1].rank:
-            chain.append(nxt)
-            break
+            for j in gens:
+                prod = _bracket_column(row, cols[j])
+                if prod:
+                    sp.insert(prod)
+        nxt = Subspace.from_spanner(n, sp)
         chain.append(nxt)
-    return chain
+        if nxt.rank in (0, chain[-2].rank):
+            return chain
 
 
 def upper_centrals(L: LieAlgebra) -> list[Subspace]:
@@ -354,7 +428,11 @@ def upper_centrals(L: LieAlgebra) -> list[Subspace]:
 def series(L: LieAlgebra) -> SeriesReport:
     """Lower and upper central series with the nilpotency class, if any.
 
-    The lower terms are kept on L, so every later call reuses them.
+    The lower series brackets each term against a generating set of unit
+    vectors, not against the whole basis: the d generators off the pivots
+    of L² when L is nilpotent, completed when they generate less than L
+    (see ``_lower_centrals``).  The lower terms are kept on L, so every
+    later call reuses them.
     """
     if L._lower is None:
         L._lower = tuple(_lower_centrals(L))
@@ -383,7 +461,7 @@ def quotient(L: LieAlgebra, ideal: Subspace) -> LieAlgebra:
         raise ValueError(f"ideal lives in Q^{ideal.ambient_dim}, algebra has dim {L.dim}")
     for row in ideal.integer_rows():
         for j in range(L.dim):
-            if ideal.reduce(L._ibracket(row, {j: 1})):
+            if ideal._residue(L._ibracket(row, {j: 1}))[1]:
                 raise NonIdealError(
                     "subspace is not an ideal: bracket with a basis vector leaves it",
                     (dict(row), j),

@@ -138,7 +138,7 @@ class Presentation:
         # the rows with a pivot at or past the block lie in it
         for row in rows[: bisect_left(pivots, block)]:
             low = {j: v for j, v in row.items() if j < short}
-            if min(row) < gamma or numerator.reduce(low):
+            if min(row) < gamma or numerator._residue(low)[1]:
                 lead = row[min(row)]
                 raise ContainmentError(
                     f"{self.algebra.name}: a closure row is not in R ∩ γ_{self.c + 1}(F)",
@@ -146,15 +146,13 @@ class Presentation:
                 )
         dimension = numerator.rank + F.dim - block - closure.rank
         closed_pivots = set(pivots)
-        words = tuple(
-            str(F.basis[p]) for p in (*numerator.pivots, *range(block, F.dim)) if p not in closed_pivots
-        )
+        words = tuple(p for p in (*numerator.pivots, *range(block, F.dim)) if p not in closed_pivots)
         if len(words) != dimension:
             raise PresentationError(
                 f"{self.algebra.name}: {len(words)} Hall words outside the closure, "
                 f"but the quotient has dimension {dimension}"
             )
-        return MultiplierReport(self.c, dimension, words)
+        return MultiplierReport._of_hall_words(self.c, F.basis, words)
 
     @cached_property
     def epicenter(self) -> Subspace:
@@ -166,7 +164,9 @@ class Presentation:
         Modulo Z_{t-1} the centraliser of x is a subalgebra and the
         generators generate, so x lies in Z_c(F/C) exactly when every
         left-normed [x, g_1, …, g_c] with generators g_i lies in C.  The
-        constraints are those dim L · d^c brackets reduced modulo C.
+        constraints are those dim L · d^c brackets reduced modulo C, each as
+        an integer residue brought to its word's one scale, so the solve
+        never leaves the integers.
         """
         F = self.ambient
         closure = self.closure
@@ -178,8 +178,10 @@ class Presentation:
             level = [{w: 1}]
             for _ in range(self.c):
                 level = [F.bracket_row_index(row, g) for row in level for g in range(F.rank)]
+            parts = [(s, closure._residue(row)) for s, row in enumerate(level) if row]
+            scale = math.lcm(*(q for _, (q, _) in parts))
             residuals.append(
-                {(s, col): v for s, row in enumerate(level) if row for col, v in closure.reduce(row).items()}
+                (scale, {(s, col): v * (scale // q) for s, (q, res) in parts for col, v in res.items()})
             )
         kernel = _kernel_of_map(residuals)
 
@@ -199,11 +201,51 @@ class Presentation:
         return Z
 
 
-@dataclass(frozen=True)
 class MultiplierReport:
-    c: int
-    dimension: int
-    basis_words: tuple[str, ...]
+    """dim M^(c)(L) and a Hall-word basis of it.
+
+    A presentation's report formats its Hall words on the first read of
+    ``basis_words``, so a caller that reads only ``dimension`` formats none.
+    Reports compare and hash by (c, dimension, basis_words).
+    """
+
+    __slots__ = ("c", "dimension", "_words", "_pending")
+
+    def __init__(self, c: int, dimension: int, basis_words: Sequence[str]):
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "_words", tuple(basis_words))
+        object.__setattr__(self, "_pending", None)
+
+    @classmethod
+    def _of_hall_words(cls, c: int, basis: Sequence, indices: tuple[int, ...]) -> "MultiplierReport":
+        """The report on the words ``basis[i]`` for i in ``indices``, left
+        unformatted until read; it holds the basis, not the presentation."""
+        self = cls(c, len(indices), ())
+        object.__setattr__(self, "_pending", (basis, indices))
+        return self
+
+    @property
+    def basis_words(self) -> tuple[str, ...]:
+        if self._pending is not None:
+            basis, indices = self._pending
+            object.__setattr__(self, "_words", tuple(str(basis[i]) for i in indices))
+            object.__setattr__(self, "_pending", None)
+        return self._words
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MultiplierReport is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MultiplierReport):
+            return NotImplemented
+        return (self.c, self.dimension, self.basis_words) == (other.c, other.dimension, other.basis_words)
+
+    def __hash__(self):
+        return hash((self.c, self.dimension, self.basis_words))
+
+    def __repr__(self):
+        return f"MultiplierReport(c={self.c!r}, dimension={self.dimension!r}, basis_words={self.basis_words!r})"
 
 
 # one image shared by every ambient word too long to reach L

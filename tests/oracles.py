@@ -27,9 +27,15 @@ reaches the same numbers by a structurally different route:
 * ``epicenter_by_upper_centrals`` is the epicenter from Z_c of the whole
   of F/[R, F, ..., F], which the solve on a basis of L replaced; it takes
   Z_c with the ``Fraction`` ad-row loop above.
-* ``random_lift`` is an input generator, not a reference: a random
-  generating lift of L for the lift-invariance tests, drawn with nilmult's
-  own series and elimination engine.
+* ``lower_centrals_by_all_pairs`` is the lower central series that
+  bracketed every row of each term with every basis vector a stored pair
+  joins to it, and ``jacobi_failure_by_brackets`` the Jacobi scan that
+  expanded each term with two table brackets; the generating-set series
+  and the column-indexed check replaced them.
+* ``random_lift`` and ``truncation_shapes`` are input generators, not
+  references: a random generating lift of L for the lift-invariance tests,
+  drawn with nilmult's own series and elimination engine, and nine
+  algebras of class 1 to 4, each also in a random basis.
 * ``h2_by_chevalley_eilenberg`` is the Schur multiplier as the homology
   H_2(L) of the Chevalley-Eilenberg complex, by its own integer elimination
   on the exterior powers of L; it never builds a free algebra.
@@ -42,6 +48,7 @@ reaches the same numbers by a structurally different route:
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -346,6 +353,72 @@ def random_lift(L, rng) -> list[dict[int, Fraction]]:
         sp = _Spanner()
         if all(sp.insert(_int_row(derived.reduce(v))) for v in vectors):
             return vectors
+
+
+def truncation_shapes():
+    """Nine algebras of class 1 to 4, each also moved to a random basis."""
+    from nilmult import fdlie
+    from nilmult.freelie import FreeNilpotentAlgebra
+
+    shapes = [
+        fdlie.heisenberg(1),
+        fdlie.heisenberg(2),
+        fdlie.heisenberg(3),
+        fdlie.abelian(3),
+        fdlie.from_free_nilpotent(FreeNilpotentAlgebra(3, 3), "N(3,3)"),
+        fdlie.from_free_nilpotent(FreeNilpotentAlgebra(2, 4), "N(2,4)"),
+        fdlie.direct_sum(fdlie.heisenberg(1), fdlie.from_free_nilpotent(FreeNilpotentAlgebra(2, 3), "N(2,3)")),
+        fdlie.direct_sum(fdlie.heisenberg(1), fdlie.abelian(2)),
+        fdlie.direct_sum(fdlie.heisenberg(2), fdlie.abelian(1)),
+    ]
+    rng = random.Random(922)
+    return shapes + [fdlie.random_basis_change(L, rng, name=f"moved-{L.name}") for L in shapes]
+
+
+# ---------------------------------------------------------------------------
+# The integer-table scans that the column-indexed ones replaced
+
+
+def lower_centrals_by_all_pairs(L):
+    """γ_1, γ_2, ... of L, each row of a term bracketed with every basis
+    vector that a stored pair joins to the row's support; ends at 0, or
+    repeats the term where the series stabilises."""
+    from nilmult.exactlin import Subspace, _Spanner
+
+    partners: dict[int, set[int]] = {}
+    for i, j in L._num:
+        partners.setdefault(i, set()).add(j)
+        partners.setdefault(j, set()).add(i)
+    chain = [Subspace.full(L.dim)]
+    while chain[-1].rank:
+        sp = _Spanner()
+        for row in chain[-1].integer_rows():
+            for j in sorted(set().union(*(partners.get(i, ()) for i in row))):
+                sp.insert(L._ibracket(row, {j: 1}))
+        chain.append(Subspace.from_spanner(L.dim, sp))
+        if chain[-1].rank == chain[-2].rank:
+            break
+    return chain
+
+
+def jacobi_failure_by_brackets(L):
+    """(message, location) of the first failing triple, or None.
+
+    The triples with a stored pair are visited sorted, and each term
+    [[e_a, e_b], e_c] is two brackets on L's integer table.
+    """
+    n = L.dim
+    triples = set()
+    for a, b in L._num:
+        triples.update(tuple(sorted((a, b, t))) for t in range(n) if t != a and t != b)
+    for i, j, k in sorted(triples):
+        acc: dict[int, int] = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for t, v in L._ibracket(L._ibracket({a: 1}, {b: 1}), {c: 1}).items():
+                acc[t] = acc.get(t, 0) + v
+        if any(acc.values()):
+            return (f"Jacobi identity fails on basis triple ({i + 1},{j + 1},{k + 1})", (i + 1, j + 1, k + 1))
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nilmult.exactlin import ContainmentError, Subspace, _as_fraction, _kernel_of_map, _kernel_rows, _Spanner
 from nilmult.fdlie import from_free_nilpotent, heisenberg, random_basis_change, upper_centrals
@@ -246,6 +246,42 @@ def test_reduce_matches_reference(data):
     assert not set(got) & set(S.pivots)
     diff = {c: v.get(c, 0) - got.get(c, 0) for c in set(v) | set(got)}
     assert Subspace(dim, list(S.integer_rows()) + [diff]).rank == S.rank
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_residue_is_the_integer_form_of_reduce(data):
+    # a canonical basis whose pivot entries need not be 1: row p holds a on
+    # its pivot and small integers on the free columns after it
+    dim = data.draw(st.integers(min_value=2, max_value=9))
+    pivots = sorted(data.draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=dim - 1)))
+    free = [c for c in range(dim) if c not in pivots]
+    rows = []
+    for p in pivots:
+        row = {p: data.draw(st.integers(2, 6))}
+        for c in free:
+            if c > p and (x := data.draw(st.integers(-4, 4))):
+                row[c] = x
+        rows.append(row)
+    S = Subspace(dim, rows)
+    assert S.pivots == tuple(pivots)
+    assume(any(r[min(r)] != 1 for r in S.integer_rows()))
+    if data.draw(st.booleans()):
+        # a member: an integer combination of the basis rows
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+        v = {}
+        for k, row in zip(coeffs, S.integer_rows()):
+            for c, x in row.items():
+                v[c] = v.get(c, 0) + k * x
+        v = {c: x for c, x in v.items() if x}
+    else:
+        v = {c: x for c in range(dim) if (x := data.draw(st.integers(-5, 5)))}
+    scale, residue = S._residue(v)
+    assert scale >= 1 and all(type(x) is int for x in residue.values())
+    assert not set(residue) & set(S.pivots)
+    assert S.reduce(v) == {c: F(x, scale) for c, x in residue.items()} == oracles.reduce_by_every_pivot(S, v)
+    assert (not residue) == (Subspace(dim, [*S.integer_rows(), v]).rank == S.rank)
+    assert (not residue) == S.contains_subspace(Subspace(dim, [v]))
 
 
 # images of up to seven unknowns over int and tuple coordinates, with int

@@ -567,3 +567,91 @@ class TestIntegerTable:
         for L in shapes:
             for moved in (L, random_basis_change(L, rng)):
                 assert series(moved).lower == tuple(oracles.lower_centrals_by_fractions(moved)), L.name
+
+
+def two_dim_nonabelian() -> LieAlgebra:
+    # [x, y] = y: solvable, γ₂ = γ₃ = span{y}
+    return LieAlgebra("aff1", ("x", "y"), {(0, 1): {1: F(1)}})
+
+
+def generated_not_nilpotent() -> LieAlgebra:
+    # [x, y] = z, [x, z] = z: x and y generate, but γ_t = span{z} for t >= 2
+    return LieAlgebra("xz", ("x", "y", "z"), {(0, 1): {2: F(1)}, (0, 2): {2: F(1)}})
+
+
+class TestGeneratingSeries:
+    """The lower central series bracketed against a generating set, against
+    the all-pairs series it replaced."""
+
+    @staticmethod
+    def shapes() -> list[LieAlgebra]:
+        N23 = from_free_nilpotent(freelie.FreeNilpotentAlgebra(2, 3), "N(2,3)")
+        small = [abelian(0), abelian(3), sl2(), two_dim_nonabelian(), generated_not_nilpotent(),
+                 direct_sum(sl2(), N23)]
+        rng = random.Random(1414)
+        moved = [random_basis_change(L, rng) for L in small if L.dim]
+        return small + moved + oracles.truncation_shapes()
+
+    def test_matches_all_pairs_series(self):
+        for L in self.shapes():
+            got = fdlie._lower_centrals(L)
+            assert [g.integer_rows() for g in got] == \
+                [g.integer_rows() for g in oracles.lower_centrals_by_all_pairs(L)], L.name
+
+    def test_not_nilpotent_error_is_unchanged(self):
+        stable = {"sl2": 3, "aff1": 1, "xz": 1, "sl2⊕N(2,3)": 3}
+        rng = random.Random(1515)
+        N23 = from_free_nilpotent(freelie.FreeNilpotentAlgebra(2, 3), "N(2,3)")
+        for L in (sl2(), two_dim_nonabelian(), generated_not_nilpotent(), direct_sum(sl2(), N23)):
+            dim = stable[L.name]
+            for A in (L, random_basis_change(L, rng, name=L.name)):
+                with pytest.raises(fdlie.NotNilpotentError) as exc:
+                    fdlie.nilpotent_series(A)
+                assert str(exc.value) == \
+                    f"{L.name} is not nilpotent: lower central series stabilises at dimension {dim}"
+                assert exc.value.stabilized == oracles.lower_centrals_by_all_pairs(A)[-1]
+
+    @pytest.mark.parametrize("d, k, budget", [(2, 4, 74), (3, 3, 193)])
+    def test_insert_budget(self, d, k, budget, monkeypatch):
+        # the table values, then d brackets per generated row and per row of
+        # each term: (stored pairs) + d·(dim L + 1 + Σ_{t≥2} rank γ_t); the
+        # all-pairs series makes 168 and 448
+        L = random_basis_change(from_free_nilpotent(freelie.free_nilpotent(d, k)), random.Random(d + k))
+        calls = []
+        insert = fdlie._Spanner.insert
+        monkeypatch.setattr(fdlie._Spanner, "insert", lambda self, v: calls.append(1) or insert(self, v))
+        lower = fdlie._lower_centrals(L)
+        assert budget == len(L._num) + d * (L.dim + 1 + sum(g.rank for g in lower[1:]))
+        assert 0 < len(calls) <= budget
+
+
+class TestJacobiParity:
+    def test_matches_the_two_bracket_scan(self):
+        # random-basis tables, three in four with one perturbed coefficient;
+        # the column-indexed check raises what the two-bracket scan finds,
+        # or accepts with it
+        rng = random.Random(1616)
+        shapes = [
+            from_free_nilpotent(freelie.free_nilpotent(2, 4)),
+            from_free_nilpotent(freelie.free_nilpotent(3, 3)),
+            from_free_nilpotent(freelie.free_nilpotent(2, 3)),
+            heisenberg(2),
+        ]
+        rejected = 0
+        for t in range(160):
+            L = random_basis_change(shapes[t // 4 % 4], rng)
+            table = {(i, j): dict(combo) for i, j, combo in L.entries()}
+            if t % 4:
+                i, j = sorted(rng.sample(range(L.dim), 2))
+                combo = table.setdefault((i, j), {})
+                k = rng.randrange(L.dim)
+                combo[k] = combo.get(k, 0) + F(rng.choice((-1, 1)), rng.randint(1, 3))
+            expected = oracles.jacobi_failure_by_brackets(LieAlgebra("p", L.basis_labels, table, check=False))
+            if expected is None:
+                LieAlgebra("p", L.basis_labels, table)
+                continue
+            rejected += 1
+            with pytest.raises(ValidationError) as exc:
+                LieAlgebra("p", L.basis_labels, table)
+            assert (str(exc.value), exc.value.location) == expected, t
+        assert 100 <= rejected <= 120

@@ -45,7 +45,7 @@ from nilmult.multiplier import (
 )
 
 import oracles
-from oracles import random_lift
+from oracles import random_lift, truncation_shapes
 
 F = Fraction
 
@@ -246,23 +246,6 @@ class TestSubidealBracket:
             subideal_bracket(Subspace.zero(amb.dim + 1), amb, 1)
         with pytest.raises(ValueError):
             subideal_bracket(Subspace.zero(amb.dim), amb, -1)
-
-
-def truncation_shapes() -> list[LieAlgebra]:
-    """Nine algebras of class 1 to 4, each also moved to a random basis."""
-    shapes = [
-        heisenberg(1),
-        heisenberg(2),
-        heisenberg(3),
-        abelian(3),
-        fdlie.from_free_nilpotent(FreeNilpotentAlgebra(3, 3), "N(3,3)"),
-        fdlie.from_free_nilpotent(FreeNilpotentAlgebra(2, 4), "N(2,4)"),
-        direct_sum(heisenberg(1), fdlie.from_free_nilpotent(FreeNilpotentAlgebra(2, 3), "N(2,3)")),
-        direct_sum(heisenberg(1), abelian(2)),
-        direct_sum(heisenberg(2), abelian(1)),
-    ]
-    rng = random.Random(922)
-    return shapes + [fdlie.random_basis_change(L, rng, name=f"moved-{L.name}") for L in shapes]
 
 
 class TestWeightTruncation:
@@ -502,6 +485,29 @@ class TestNilpotentMultiplier:
                     assert got == canonical[c], (L.name, c)
 
 
+class TestLazyWords:
+    def test_dimension_alone_formats_no_word(self, monkeypatch):
+        clear_caches()
+        formatted = []
+        to_str = freelie.HallWord.__str__
+        monkeypatch.setattr(freelie.HallWord, "__str__", lambda w: formatted.append(w) or to_str(w))
+        L = direct_sum(heisenberg(1), abelian(2))
+        assert bound_report(L).dim_m2 == nilpotent_multiplier(L, 2).dimension == 23
+        assert formatted == []
+        rep = nilpotent_multiplier(L, 2)
+        words = rep.basis_words
+        assert len(words) == 23 and formatted
+        count = len(formatted)
+        assert rep.basis_words is words and len(formatted) == count  # formatted once
+        explicit = multiplier.MultiplierReport(2, 23, list(words))
+        assert rep == explicit and hash(rep) == hash(explicit) and repr(rep) == repr(explicit)
+        assert rep != multiplier.MultiplierReport(1, 23, words)
+        assert report(L, 2)["basis_words"] == list(words)
+        with pytest.raises(AttributeError):
+            rep.dimension = 3
+        clear_caches()
+
+
 class TestZStar:
     def test_heisenberg_two_epicenter_is_derived(self, h2):
         z = z_star(h2, 1)
@@ -595,12 +601,13 @@ class TestEpicenterSolve:
                 assert pres.epicenter == oracles.epicenter_by_upper_centrals(pres) == z_star(L, c), (L.name, c)
 
     def test_solve_brackets_only_generators(self, monkeypatch):
-        # with the closure built, Z*_2(H(4)) reduces at most one bracket
-        # [w, g_1, g_2] per word w of a basis of L and pair of generators
+        # with the closure built, Z*_2(H(4)) takes the integer residue of
+        # at most one bracket [w, g_1, g_2] per word w of a basis of L and
+        # pair of generators, and makes no Fraction residual
         clear_caches()
         pres = present(heisenberg(4), 2)
         pres.closure
-        calls = {"upper_centrals": 0, "reduce": 0}
+        calls = {"upper_centrals": 0, "residue": 0, "reduce": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -611,10 +618,11 @@ class TestEpicenterSolve:
         for module in (fdlie, multiplier):
             if hasattr(module, "upper_centrals"):
                 monkeypatch.setattr(module, "upper_centrals", counting("upper_centrals", module.upper_centrals))
+        monkeypatch.setattr(Subspace, "_residue", counting("residue", Subspace._residue))
         monkeypatch.setattr(Subspace, "reduce", counting("reduce", Subspace.reduce))
         assert pres.epicenter == series(heisenberg(4)).gamma(2)
-        assert calls["upper_centrals"] == 0
-        assert 0 < calls["reduce"] <= 9 * 8**2
+        assert calls["upper_centrals"] == 0 and calls["reduce"] == 0
+        assert 0 < calls["residue"] <= 9 * 8**2
 
     def test_lost_rank_raises_presentation_error(self):
         # Z*_1(H(2)⊕H(2)) is spanned by the images of the two words of
