@@ -182,24 +182,18 @@ def _kernel_rows(n: int, canonical_rows: list[IntRow]) -> list[IntRow]:
     return sorted([*units, *sp.canonical()], key=min)
 
 
-def _kernel_of_map(images: Sequence[Mapping[Hashable, Coeff] | tuple[int, Mapping[Hashable, int]]]) -> list[IntRow]:
+def _kernel_of_map(images: Sequence[tuple[int, Mapping[Hashable, int]]]) -> list[IntRow]:
     """Canonical basis rows of {x : Σ_t x_t · images[t] = 0}.
 
-    ``images[t]`` is the sparse image of unknown t, over any hashable
-    coordinates: a mapping of exact values, or a pair (s, row) of a scale
-    and an integer row standing for row / s, as a residue is.  Unknown t is
-    cleared of denominators by its own scale s_t, so the solve runs on
-    integers in y_t = x_t / s_t; each kernel row is scaled back, which keeps
-    a fully reduced row fully reduced.
+    ``images[t]`` is the image of unknown t as a pair (s_t, row): a scale
+    and a sparse integer row over any hashable coordinates, standing for
+    row / s_t, as a residue is.  The solve runs on integers in
+    y_t = x_t / s_t; each kernel row is scaled back, which keeps a fully
+    reduced row fully reduced.
     """
     scale = []
     constraints: dict[Hashable, IntRow] = {}
-    for t, image in enumerate(images):
-        if isinstance(image, tuple):
-            s, image = image
-        else:
-            s = math.lcm(*[v.denominator for v in image.values() if type(v) is not int])
-            image = {col: v.numerator * (s // v.denominator) for col, v in image.items()}
+    for t, (s, image) in enumerate(images):
         scale.append(s)
         for col, v in image.items():
             if v:

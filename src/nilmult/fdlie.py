@@ -140,19 +140,16 @@ class LieAlgebra:
                 (t, a, b) if t < a else (a, t, b) if t < b else (a, b, t)
                 for t in range(n) if t != a and t != b
             )
-        cols = _columns(self)
+        num = self._num
         for i, j, k in sorted(triples):
             acc: IntRow = {}
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                ab = cols[b].get(a)
+            # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] − [[e_i, e_k], e_j], each
+            # inner bracket read off the table as stored, i < j < k
+            for pair, c, sign in (((i, j), k, 1), ((j, k), i, 1), ((i, k), j, -1)):
+                ab = num.get(pair)
                 if ab:
-                    # [[e_a, e_b], e_c] = Σ_t [e_a, e_b]_t·[e_t, e_c]
-                    col = cols[c]
-                    for t, v in ab.items():
-                        tc = col.get(t)
-                        if tc:
-                            for q, w in tc.items():
-                                acc[q] = acc.get(q, 0) + v * w
+                    for q, w in self._ibracket(ab, {c: 1}).items():
+                        acc[q] = acc.get(q, 0) + sign * w
             if any(acc.values()):
                 raise ValidationError(
                     f"Jacobi identity fails on basis triple ({i + 1},{j + 1},{k + 1})",
@@ -286,32 +283,7 @@ class SeriesReport:
         return self.upper[min(k, len(self.upper)) - 1]
 
 
-def _columns(L: LieAlgebra) -> list[dict[int, IntRow]]:
-    """The column index of L's table: ``cols[j][i]`` = den·[e_i, e_j] for
-    each stored pair joining i and j."""
-    cols: list[dict[int, IntRow]] = [{} for _ in range(L.dim)]
-    for (i, j), combo in L._num.items():
-        cols[j][i] = combo
-        cols[i][j] = {k: -v for k, v in combo.items()}
-    return cols
-
-
-def _bracket_column(x: Mapping[int, int], col: dict[int, IntRow]) -> IntRow:
-    """den·[x, e_j] for an integer row x, from the column ``col`` = cols[j]."""
-    out: IntRow = {}
-    for i, xi in x.items():
-        combo = col.get(i)
-        if combo:
-            for k, ck in combo.items():
-                n = out.get(k, 0) + xi * ck
-                if n:
-                    out[k] = n
-                else:
-                    del out[k]
-    return out
-
-
-def _generating_units(L: LieAlgebra, cols: list[dict[int, IntRow]], derived: Subspace) -> list[int]:
+def _generating_units(L: LieAlgebra, derived: Subspace) -> list[int]:
     """Indices of unit vectors that generate L as an algebra.
 
     They start as the units off the pivots of L², which span L modulo L²
@@ -330,7 +302,7 @@ def _generating_units(L: LieAlgebra, cols: list[dict[int, IntRow]], derived: Sub
         grown = []
         for row in frontier:
             for j in units:
-                prod = _bracket_column(row, cols[j])
+                prod = L._ibracket(row, {j: 1})
                 if prod and sp.insert(prod):
                     grown.append(prod)
         frontier = grown
@@ -357,13 +329,12 @@ def _lower_centrals(L: LieAlgebra) -> list[Subspace]:
     chain.append(Subspace.from_spanner(n, sp))
     if chain[-1].rank in (0, n):
         return chain
-    cols = _columns(L)
-    gens = _generating_units(L, cols, chain[-1])
+    gens = _generating_units(L, chain[-1])
     while True:
         sp = _Spanner()
         for row in chain[-1].integer_rows():
             for j in gens:
-                prod = _bracket_column(row, cols[j])
+                prod = L._ibracket(row, {j: 1})
                 if prod:
                     sp.insert(prod)
         nxt = Subspace.from_spanner(n, sp)
@@ -414,7 +385,7 @@ def upper_centrals(L: LieAlgebra) -> list[Subspace]:
                     else:
                         for q, v in res.items():
                             image[at + q] = image.get(at + q, 0) + c * v
-            images.append(image)
+            images.append((1, image))
         kernel = _kernel_of_map(images)
         K = Subspace._from_rows(n, [{free[t]: y for t, y in row.items()} for row in kernel])
         if chain and K.is_zero:

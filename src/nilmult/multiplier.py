@@ -146,13 +146,15 @@ class Presentation:
                 )
         dimension = numerator.rank + F.dim - block - closure.rank
         closed_pivots = set(pivots)
-        words = tuple(p for p in (*numerator.pivots, *range(block, F.dim)) if p not in closed_pivots)
+        words = tuple(
+            str(F.basis[p]) for p in (*numerator.pivots, *range(block, F.dim)) if p not in closed_pivots
+        )
         if len(words) != dimension:
             raise PresentationError(
                 f"{self.algebra.name}: {len(words)} Hall words outside the closure, "
                 f"but the quotient has dimension {dimension}"
             )
-        return MultiplierReport._of_hall_words(self.c, F.basis, words)
+        return MultiplierReport(self.c, dimension, words)
 
     @cached_property
     def epicenter(self) -> Subspace:
@@ -201,51 +203,11 @@ class Presentation:
         return Z
 
 
+@dataclass(frozen=True)
 class MultiplierReport:
-    """dim M^(c)(L) and a Hall-word basis of it.
-
-    A presentation's report formats its Hall words on the first read of
-    ``basis_words``, so a caller that reads only ``dimension`` formats none.
-    Reports compare and hash by (c, dimension, basis_words).
-    """
-
-    __slots__ = ("c", "dimension", "_words", "_pending")
-
-    def __init__(self, c: int, dimension: int, basis_words: Sequence[str]):
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "_words", tuple(basis_words))
-        object.__setattr__(self, "_pending", None)
-
-    @classmethod
-    def _of_hall_words(cls, c: int, basis: Sequence, indices: tuple[int, ...]) -> "MultiplierReport":
-        """The report on the words ``basis[i]`` for i in ``indices``, left
-        unformatted until read; it holds the basis, not the presentation."""
-        self = cls(c, len(indices), ())
-        object.__setattr__(self, "_pending", (basis, indices))
-        return self
-
-    @property
-    def basis_words(self) -> tuple[str, ...]:
-        if self._pending is not None:
-            basis, indices = self._pending
-            object.__setattr__(self, "_words", tuple(str(basis[i]) for i in indices))
-            object.__setattr__(self, "_pending", None)
-        return self._words
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiplierReport is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultiplierReport):
-            return NotImplemented
-        return (self.c, self.dimension, self.basis_words) == (other.c, other.dimension, other.basis_words)
-
-    def __hash__(self):
-        return hash((self.c, self.dimension, self.basis_words))
-
-    def __repr__(self):
-        return f"MultiplierReport(c={self.c!r}, dimension={self.dimension!r}, basis_words={self.basis_words!r})"
+    c: int
+    dimension: int
+    basis_words: tuple[str, ...]
 
 
 # one image shared by every ambient word too long to reach L
@@ -348,7 +310,7 @@ def _chain(L: LieAlgebra, c: int, lift, dim_cap: int) -> _Chain:
         for w, img in zip(F.basis, ints)
     )
     scaled = [
-        {r: v * unit ** (k - w.length) for r, v in img.items()} for w, img in zip(F.basis[:short], ints)
+        (1, {r: v * unit ** (k - w.length) for r, v in img.items()}) for w, img in zip(F.basis[:short], ints)
     ]
     short_relations = Subspace._from_rows(F.dim, _kernel_of_map(scaled))
     return _Chain(d, k, images, short_relations)

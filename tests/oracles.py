@@ -31,7 +31,7 @@ reaches the same numbers by a structurally different route:
   bracketed every row of each term with every basis vector a stored pair
   joins to it, and ``jacobi_failure_by_brackets`` the Jacobi scan that
   expanded each term with two table brackets; the generating-set series
-  and the column-indexed check replaced them.
+  and the check that reads each inner bracket off the table replaced them.
 * ``random_lift`` and ``truncation_shapes`` are input generators, not
   references: a random generating lift of L for the lift-invariance tests,
   drawn with nilmult's own series and elimination engine, and nine
@@ -40,7 +40,8 @@ reaches the same numbers by a structurally different route:
   H_2(L) of the Chevalley-Eilenberg complex, by its own integer elimination
   on the exterior powers of L; it never builds a free algebra.
 * ``kernel_by_fractions`` is plain ``Fraction`` Gauss-Jordan elimination,
-  the reference for the one kernel solve ``_kernel_of_map``, and
+  the reference for the one kernel solve ``_kernel_of_map``, which
+  ``as_scaled_image`` feeds an exact image as its (scale, integer row), and
   ``rref_by_fractions`` the same elimination on a list of rows, the
   reference for the row space ``_Spanner`` builds in any insertion order.
 """
@@ -376,7 +377,8 @@ def truncation_shapes():
 
 
 # ---------------------------------------------------------------------------
-# The integer-table scans that the column-indexed ones replaced
+# The integer-table scans that the generating-set series and the
+# stored-pair Jacobi check replaced
 
 
 def lower_centrals_by_all_pairs(L):
@@ -703,6 +705,13 @@ def kernel_by_fractions(images) -> list[dict[int, Fraction]]:
                 vec[p] = -row[f]
             solutions.append(vec)
     return [{c: v for c, v in enumerate(row) if v} for row in _gauss_jordan(solutions, n)[0]]
+
+
+def as_scaled_image(image) -> tuple[int, dict]:
+    """The pair (s, s * image) for an image of exact values, s the lcm of
+    their denominators: the integer form ``_kernel_of_map`` takes."""
+    s = math.lcm(*(Fraction(v).denominator for v in image.values()))
+    return s, {col: int(Fraction(v) * s) for col, v in image.items()}
 
 
 def rref_by_fractions(rows, n: int) -> list[dict[int, Fraction]]:

@@ -297,7 +297,7 @@ class TestKernelOfMap:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_image, max_size=7))
     def test_matches_fraction_gauss_jordan(self, images):
-        rows = _kernel_of_map(images)
+        rows = _kernel_of_map([oracles.as_scaled_image(image) for image in images])
         rref = [{t: F(y, r[min(r)]) for t, y in r.items()} for r in rows]
         assert rref == oracles.kernel_by_fractions(images)
         for r in rows:
@@ -309,14 +309,17 @@ class TestKernelOfMap:
             assert not any(image.values())
 
     def test_hand_cases(self):
-        assert _kernel_of_map([]) == []
-        assert _kernel_of_map([{}, {"a": 0}, {(1, 2): F(0)}]) == [{0: 1}, {1: 1}, {2: 1}]
+        def kernel(images):
+            return _kernel_of_map([oracles.as_scaled_image(image) for image in images])
+
+        assert kernel([]) == []
+        assert kernel([{}, {"a": 0}, {(1, 2): F(0)}]) == [{0: 1}, {1: 1}, {2: 1}]
         # x0/2 + x1/3 = 0; the scales 2 and 3 are multiplied back
-        assert _kernel_of_map([{(0, 0): F(1, 2)}, {(0, 0): F(1, 3)}]) == [{0: 2, 1: -3}]
+        assert kernel([{(0, 0): F(1, 2)}, {(0, 0): F(1, 3)}]) == [{0: 2, 1: -3}]
         # equal scales: the row scaled back is made primitive again
-        assert _kernel_of_map([{0: F(1, 2)}, {0: F(-1, 2)}, {1: 1}]) == [{0: 1, 1: 1}]
+        assert kernel([{0: F(1, 2)}, {0: F(-1, 2)}, {1: 1}]) == [{0: 1, 1: 1}]
         # an int value is scaled with the Fraction values of its unknown
-        assert _kernel_of_map([{1: 1, 2: 1}, {1: 1, 2: F(1, 2)}]) == []
+        assert kernel([{1: 1, 2: 1}, {1: 1, 2: F(1, 2)}]) == []
 
 
 # independent rows over eight columns, then combinations of them

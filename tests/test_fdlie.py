@@ -628,7 +628,7 @@ class TestGeneratingSeries:
 class TestJacobiParity:
     def test_matches_the_two_bracket_scan(self):
         # random-basis tables, three in four with one perturbed coefficient;
-        # the column-indexed check raises what the two-bracket scan finds,
+        # the stored-pair check raises what the two-bracket scan finds,
         # or accepts with it
         rng = random.Random(1616)
         shapes = [

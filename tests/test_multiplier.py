@@ -485,29 +485,6 @@ class TestNilpotentMultiplier:
                     assert got == canonical[c], (L.name, c)
 
 
-class TestLazyWords:
-    def test_dimension_alone_formats_no_word(self, monkeypatch):
-        clear_caches()
-        formatted = []
-        to_str = freelie.HallWord.__str__
-        monkeypatch.setattr(freelie.HallWord, "__str__", lambda w: formatted.append(w) or to_str(w))
-        L = direct_sum(heisenberg(1), abelian(2))
-        assert bound_report(L).dim_m2 == nilpotent_multiplier(L, 2).dimension == 23
-        assert formatted == []
-        rep = nilpotent_multiplier(L, 2)
-        words = rep.basis_words
-        assert len(words) == 23 and formatted
-        count = len(formatted)
-        assert rep.basis_words is words and len(formatted) == count  # formatted once
-        explicit = multiplier.MultiplierReport(2, 23, list(words))
-        assert rep == explicit and hash(rep) == hash(explicit) and repr(rep) == repr(explicit)
-        assert rep != multiplier.MultiplierReport(1, 23, words)
-        assert report(L, 2)["basis_words"] == list(words)
-        with pytest.raises(AttributeError):
-            rep.dimension = 3
-        clear_caches()
-
-
 class TestZStar:
     def test_heisenberg_two_epicenter_is_derived(self, h2):
         z = z_star(h2, 1)
