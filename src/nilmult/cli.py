@@ -64,7 +64,11 @@ def cmd_witt(args) -> int:
 
 
 def cmd_hall(args) -> int:
-    words = freelie.hall_basis(args.generators, args.nil_class)
+    d, c = args.generators, args.nil_class
+    if d >= 0 and c >= 1:  # hall_basis names a bad size itself
+        # the cap of free_nilpotent, on the Witt sum, before any word is built
+        freelie._check_dim_cap(d, c, sum(freelie.witt(d, n) for n in range(1, c + 1)), freelie.DIM_CAP)
+    words = freelie.hall_basis(d, c)
     if args.json:
         _emit(_json_text({
             "generators": args.generators,

@@ -158,10 +158,12 @@ class LieAlgebra:
 
     @property
     def fingerprint(self):
-        """Structural identity of the bracket table (name and labels excluded)."""
+        """Structural identity of the bracket table (name and labels
+        excluded): the dimension, ``den`` and the integer table, which are
+        equal exactly when the rational tables are."""
         if self._fingerprint is None:
-            items = tuple((i, j, tuple(sorted(combo.items()))) for i, j, combo in self.entries())
-            self._fingerprint = (self.dim, items)
+            items = tuple((i, j, tuple(sorted(combo.items()))) for (i, j), combo in self._num.items())
+            self._fingerprint = (self.dim, self.den, items)
         return self._fingerprint
 
     @property
@@ -427,7 +429,11 @@ def nilpotent_series(L: LieAlgebra) -> SeriesReport:
 
 
 def quotient(L: LieAlgebra, ideal: Subspace) -> LieAlgebra:
-    """L/I on the non-pivot coordinates of the ideal's RREF basis."""
+    """L/I on the non-pivot coordinates of the ideal's RREF basis.
+
+    Only the stored pairs give non-zero brackets; each kept one is reduced
+    modulo I as an integer residue (s, w), standing for w / (s·den).
+    """
     if ideal.ambient_dim != L.dim:
         raise ValueError(f"ideal lives in Q^{ideal.ambient_dim}, algebra has dim {L.dim}")
     for row in ideal.integer_rows():
@@ -440,12 +446,11 @@ def quotient(L: LieAlgebra, ideal: Subspace) -> LieAlgebra:
     keep = [c for c in range(L.dim) if c not in ideal.pivots]
     pos = {c: t for t, c in enumerate(keep)}
     brackets: dict[tuple[int, int], Combo] = {}
-    for a, p in enumerate(keep):
-        for b in range(a + 1, len(keep)):
-            q = keep[b]
-            combo = ideal.reduce(L.bracket_basis(p, q))
-            if combo:
-                brackets[(a, b)] = {pos[c]: v for c, v in combo.items()}
+    for (p, q), combo in L._num.items():
+        if p in pos and q in pos:
+            s, w = ideal._residue(combo)
+            if w:
+                brackets[(pos[p], pos[q])] = {pos[c]: Fraction(v, s * L.den) for c, v in w.items()}
     labels = [L.basis_labels[c] for c in keep]
     return LieAlgebra(f"{L.name}/I", labels, brackets, check=False)
 
@@ -455,19 +460,19 @@ def recognize_derived_dim_one(L: LieAlgebra) -> tuple[int, int]:
 
     The derived subalgebra is central here, so [·,·] induces an alternating
     form on L/Z-direction with matrix c_{ij} given by [e_i,e_j] = c_{ij} w;
-    its rank is 2m and r = dim L − 2m − 1; read c_{ij}·den·w[p] off w's pivot p.
+    its rank is 2m and r = dim L − 2m − 1; read c_{ij}·den·w[p] off the
+    stored table at w's pivot p.
     """
     derived = nilpotent_series(L).gamma(2)
     if derived.rank != 1:
         raise ValueError(f"dim L^2 = {derived.rank}, need exactly 1")
     pivot = derived.pivots[0]
+    rows: list[IntRow] = [{} for _ in range(L.dim)]
+    for (i, j), combo in L._num.items():
+        if v := combo.get(pivot):
+            rows[i][j], rows[j][i] = v, -v
     sp = _Spanner()
-    for i in range(L.dim):
-        row = {}
-        for j in range(L.dim):
-            v = L._ibracket({i: 1}, {j: 1}).get(pivot)
-            if v:
-                row[j] = v
+    for row in rows:
         sp.insert(row)
     m, odd = divmod(sp.rank, 2)
     if odd:

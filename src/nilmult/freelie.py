@@ -293,8 +293,8 @@ class HashedKey:
     """A memo key that hashes its parts once.
 
     An algebra's key holds its whole bracket table, a long tuple of
-    ``Fraction``s; hashing that anew on every lookup would cost more than
-    the lookup itself.
+    integers; hashing that anew on every lookup would cost more than the
+    lookup itself.
     """
 
     __slots__ = ("parts", "_hash")

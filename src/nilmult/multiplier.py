@@ -35,13 +35,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from types import MappingProxyType
 
-from .exactlin import ContainmentError, IntRow, Subspace, _as_fraction, _int_row, _kernel_of_map, _Spanner
+from .exactlin import ContainmentError, IntRow, Subspace, _kernel_of_map, _Spanner
 from .fdlie import LieAlgebra, nilpotent_series
 from .freelie import (
     DIM_CAP, FreeNilpotentAlgebra, _check_dim_cap, _memoised, _shared_value, free_nilpotent, span_bracket_rows,
@@ -55,9 +53,10 @@ class PresentationError(ArithmeticError):
 
 class _Chain:
     """What the presentations of one algebra share at every weight: the
-    rank d, the class k, the images of the words of length <= k + 1, and the
-    closure chain ``closures[t]`` = C_t, built as far as it has been read.
-    ``closures[0]`` is R_{≤k}, in whichever ambient the chain started in."""
+    rank d, the class k, the integer images of the words of length <= k
+    (see ``Presentation.images``), and the closure chain ``closures[t]`` =
+    C_t, built as far as it has been read.  ``closures[0]`` is R_{≤k}, in
+    whichever ambient the chain started in."""
 
     __slots__ = ("d", "k", "images", "closures", "__weakref__")
 
@@ -94,7 +93,9 @@ class Presentation:
     k: int  # class of the algebra
     c: int
     algebra: LieAlgebra
-    images: tuple = field(repr=False)  # image in L of each ambient basis word
+    # den^(k-1) times the image in L of each word of length <= k, as an
+    # integer row; the longer words map to 0
+    images: tuple[IntRow, ...] = field(repr=False)
     chain: _Chain = field(repr=False)
 
     def __post_init__(self):
@@ -167,8 +168,9 @@ class Presentation:
         generators generate, so x lies in Z_c(F/C) exactly when every
         left-normed [x, g_1, …, g_c] with generators g_i lies in C.  The
         constraints are those dim L · d^c brackets reduced modulo C, each as
-        an integer residue brought to its word's one scale, so the solve
-        never leaves the integers.
+        an integer residue brought to its word's one scale, and the solutions
+        are pushed into L through the integer images, which share one scale,
+        so the solve never leaves the integers.
         """
         F = self.ambient
         closure = self.closure
@@ -187,14 +189,14 @@ class Presentation:
             )
         kernel = _kernel_of_map(residuals)
 
-        pushed = []
+        sp = _Spanner()
         for row in kernel:
-            v: dict[int, Fraction] = {}
+            v: IntRow = {}
             for t, y in row.items():
                 for r, x in self.images[words[t]].items():
                     v[r] = v.get(r, 0) + y * x
-            pushed.append(v)
-        Z = Subspace(self.algebra.dim, pushed)
+            sp.insert({r: x for r, x in v.items() if x})
+        Z = Subspace.from_spanner(self.algebra.dim, sp)
         if Z.rank != len(kernel):
             raise PresentationError(
                 f"{self.algebra.name}: {len(kernel)} independent solutions on the words "
@@ -210,37 +212,30 @@ class MultiplierReport:
     basis_words: tuple[str, ...]
 
 
-# one image shared by every ambient word too long to reach L
-_ZERO_IMAGE: Mapping[int, Fraction] = MappingProxyType({})
-
-
-def present(
-    L: LieAlgebra,
-    c: int,
-    *,
-    lift: Sequence[Mapping[int, object]] | None = None,
-    dim_cap: int = DIM_CAP,
-) -> Presentation:
+def present(L: LieAlgebra, c: int, *, dim_cap: int = DIM_CAP) -> Presentation:
     """Present L as a quotient of a free nilpotent algebra of class k + c.
 
-    The generators map to a lift of a basis of L/L²; by default the lift is
-    the non-pivot coordinates of L² in RREF, deterministic for a given L.
-    A custom ``lift`` (one sparse vector per generator) must still span L
-    modulo L².  Default-lift presentations are memoised, keyed by the
-    algebra's name, labels and bracket table, and those of one algebra share
-    its images, R_{≤k} and closure chain.  ``dim_cap`` refuses an ambient
-    F(d, k + c) larger than it, before any build and on a memo hit alike,
-    so what the memo holds never decides whether a call answers.
+    The generators map to the basis vectors off the pivots of L² in RREF,
+    a lift of a basis of L/L² that is deterministic for a given L; the
+    multiplier and the epicenter do not depend on the lift, so a change of
+    basis of L is the way to try another.  Presentations are memoised,
+    keyed by the algebra's name, labels and bracket table, and those of one
+    algebra share its images, R_{≤k} and closure chain.  ``dim_cap``
+    refuses an ambient F(d, k + c) larger than it, before any build and on
+    a memo hit alike, so what the memo holds never decides whether a call
+    answers.
     """
     if c < 1:
         raise ValueError("multiplier weight c must be >= 1")
-    if lift is not None:
-        return _present(_chain(L, c, lift, dim_cap), L, c, dim_cap)
     key = L.memo_key
 
     def build():
-        chain = _shared_value(key, lambda: _chain(L, c, None, dim_cap))
-        return _present(chain, L, c, dim_cap)
+        chain = _shared_value(key, lambda: _chain(L, c, dim_cap))
+        F = free_nilpotent(chain.d, chain.k + c, dim_cap)
+        short_relations = chain.closures[0]
+        if short_relations.ambient_dim != F.dim:
+            short_relations = Subspace._from_rows(F.dim, short_relations.integer_rows())
+        return Presentation(F, short_relations, chain.k, c, L, chain.images, chain)
 
     pres = _memoised((key, c), build)
     # an ambient is never older in the memo than a presentation built on
@@ -252,50 +247,22 @@ def present(
     return pres
 
 
-def _present(chain: _Chain, L: LieAlgebra, c: int, dim_cap: int) -> Presentation:
-    F = free_nilpotent(chain.d, chain.k + c, dim_cap)
-    short_relations = chain.closures[0]
-    if short_relations.ambient_dim != F.dim:
-        short_relations = Subspace._from_rows(F.dim, short_relations.integer_rows())
-    images = chain.images + (_ZERO_IMAGE,) * (F.dim - len(chain.images))
-    return Presentation(F, short_relations, chain.k, c, L, images, chain)
-
-
-def _chain(L: LieAlgebra, c: int, lift, dim_cap: int) -> _Chain:
+def _chain(L: LieAlgebra, c: int, dim_cap: int) -> _Chain:
     """The images and R_{≤k} of L, solved in F(d, k + c) for the weight c
     asked first, so that its cap is checked before any work."""
     rep = nilpotent_series(L)
     k = rep.nilpotency_class
     derived = rep.gamma(2) if k >= 1 else Subspace.zero(L.dim)
     d = L.dim - derived.rank
-
-    if lift is None:
-        lam, gens = 1, [{col: 1} for col in range(L.dim) if col not in derived.pivots]
-    else:
-        lift_vectors = []
-        sp = _Spanner()
-        for v in lift:
-            if any(type(i) is not int for i in v):
-                raise ValueError(f"lift coordinates must be ints, got {list(v)}")
-            vec = {i: f for i, x in dict(v).items() if (f := _as_fraction(x))}
-            residual = derived.reduce(vec)
-            if not sp.insert(_int_row(residual)):
-                raise ValueError("lift does not span L modulo L²")
-            lift_vectors.append(vec)
-        if len(lift_vectors) != d:
-            raise ValueError(f"lift must have exactly {d} vectors, got {len(lift_vectors)}")
-        lam = math.lcm(*(x.denominator for v in lift_vectors for x in v.values()))
-        gens = [{i: x.numerator * (lam // x.denominator) for i, x in v.items()} for v in lift_vectors]
-
+    gens = [{col: 1} for col in range(L.dim) if col not in derived.pivots]
     F = free_nilpotent(d, k + c, dim_cap)
     # brackets of length > k die in an algebra of class k; series(L) has
     # shown that, so only length k + 1 is computed, as a check, and the
     # kernel is solved on the words of length <= k alone
     short, live = F.stratum_starts[k + 1], F.stratum_starts[k + 2]
-    # ints[w]: λ^l·den^(l-1) times the image of w, of length l, where λ is
-    # the lift's common denominator; scaled by unit^(k-l) they share the
-    # factor λ^k·den^(k-1), so the kernel is solved on integers
-    unit = lam * L.den
+    # ints[w]: den^(l-1) times the image of w, of length l; scaled by
+    # den^(k-l) they share the factor den^(k-1), so the kernel is solved on
+    # integers
     ints: list[IntRow] = []
     for w in F.basis[:live]:
         img = gens[w.gen] if w.is_generator else L._ibracket(ints[w.left.key], ints[w.right.key])
@@ -306,13 +273,10 @@ def _chain(L: LieAlgebra, c: int, lift, dim_cap: int) -> _Chain:
             )
         ints.append(img)
     images = tuple(
-        {r: Fraction(v, unit ** w.length // L.den) for r, v in img.items()}
-        for w, img in zip(F.basis, ints)
+        {r: v * L.den ** (k - w.length) for r, v in img.items()}
+        for w, img in zip(F.basis[:short], ints)
     )
-    scaled = [
-        (1, {r: v * unit ** (k - w.length) for r, v in img.items()}) for w, img in zip(F.basis[:short], ints)
-    ]
-    short_relations = Subspace._from_rows(F.dim, _kernel_of_map(scaled))
+    short_relations = Subspace._from_rows(F.dim, _kernel_of_map([(1, img) for img in images]))
     return _Chain(d, k, images, short_relations)
 
 
@@ -339,19 +303,13 @@ def subideal_bracket(S: Subspace, ambient: FreeNilpotentAlgebra, depth: int) -> 
     return Subspace._from_rows(ambient.dim, rows)
 
 
-def nilpotent_multiplier(
-    L: LieAlgebra,
-    c: int,
-    *,
-    lift: Sequence[Mapping[int, object]] | None = None,
-    dim_cap: int = DIM_CAP,
-) -> MultiplierReport:
+def nilpotent_multiplier(L: LieAlgebra, c: int, *, dim_cap: int = DIM_CAP) -> MultiplierReport:
     """dim and Hall-word basis of the c-nilpotent multiplier of L.
 
     c = 1 is the Schur multiplier.  The ambient grows quickly with c;
     ``dim_cap`` refuses one that is too large before any work.
     """
-    return present(L, c, lift=lift, dim_cap=dim_cap).multiplier
+    return present(L, c, dim_cap=dim_cap).multiplier
 
 
 def z_star(L: LieAlgebra, c: int, *, dim_cap: int = DIM_CAP) -> Subspace:

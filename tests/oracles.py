@@ -35,7 +35,9 @@ reaches the same numbers by a structurally different route:
 * ``random_lift`` and ``truncation_shapes`` are input generators, not
   references: a random generating lift of L for the lift-invariance tests,
   drawn with nilmult's own series and elimination engine, and nine
-  algebras of class 1 to 4, each also in a random basis.
+  algebras of class 1 to 4, each also in a random basis.  ``relift``
+  rewrites L in the basis (lift vectors, rows of L²), whose default lift
+  is the given one, so a presentation of it is one of L on that lift.
 * ``h2_by_chevalley_eilenberg`` is the Schur multiplier as the homology
   H_2(L) of the Chevalley-Eilenberg complex, by its own integer elimination
   on the exterior powers of L; it never builds a free algebra.
@@ -463,6 +465,24 @@ def jacobi_failure_by_full_scan(L):
     return None
 
 
+def _inverse_by_gauss_jordan(P):
+    """The inverse of a square Fraction matrix, or None if it is singular."""
+    n = len(P)
+    aug = [list(P[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        scale = aug[col][col]
+        aug[col] = [v / scale for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
 def basis_change_by_gauss_jordan(L, rng) -> dict[tuple[int, int], dict[int, Fraction]]:
     """The bracket table of L in a random basis b_i = sum_j P[i][j] e_j.
 
@@ -473,21 +493,44 @@ def basis_change_by_gauss_jordan(L, rng) -> dict[tuple[int, int], dict[int, Frac
     n = L.dim
     while True:
         P = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-        aug = [list(P[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col]), None)
-            if piv is None:
-                break
-            aug[col], aug[piv] = aug[piv], aug[col]
-            scale = aug[col][col]
-            aug[col] = [v / scale for v in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-        else:
+        Pinv = _inverse_by_gauss_jordan(P)
+        if Pinv is not None:
             break
-    Pinv = [row[n:] for row in aug]
+    return _table_in_basis(L, P, Pinv)
+
+
+def lift_basis(L, lift) -> list[dict[int, Fraction]]:
+    """The basis of L that ``relift`` rewrites it in: the lift vectors,
+    then the rational RREF rows of L²."""
+    from nilmult.fdlie import nilpotent_series
+
+    derived = nilpotent_series(L).gamma(2)
+    vectors = [{i: Fraction(x) for i, x in v.items() if x} for v in lift]
+    return vectors + list(derived.rational_rows())
+
+
+def relift(L, lift):
+    """L rewritten in the basis ``lift_basis(L, lift)``.
+
+    Its L² is the span of the last basis vectors, so its default lift is
+    the lift vectors: a presentation of it is the presentation of L whose
+    generators map to ``lift``.  The basis change is inverted in Fractions.
+    """
+    from nilmult.fdlie import LieAlgebra
+
+    basis = lift_basis(L, lift)
+    n = L.dim
+    P = [[v.get(j, Fraction(0)) for j in range(n)] for v in basis]
+    Pinv = _inverse_by_gauss_jordan(P) if len(P) == n else None
+    if Pinv is None:
+        raise ValueError("lift is not a basis of L modulo L²")
+    table = _table_in_basis(L, P, Pinv)
+    return LieAlgebra(f"{L.name}@lift", [f"b{i + 1}" for i in range(n)], table, check=False)
+
+
+def _table_in_basis(L, P, Pinv) -> dict[tuple[int, int], dict[int, Fraction]]:
+    """The bracket table of L in the basis b_i = sum_j P[i][j] e_j."""
+    n = L.dim
     new_basis = [{j: P[i][j] for j in range(n) if P[i][j]} for i in range(n)]
     table = fraction_table(L)
     brackets = {}
@@ -599,9 +642,10 @@ def epicenter_by_upper_centrals(pres):
     It writes out the structure table of F/C on the words off the pivots
     of C, every kept pair with weight sum within the class reduced modulo
     C, takes Z_c of that table with ``upper_centrals_by_fractions`` and
-    pushes it into L through the presentation's images.  Its unknowns are
-    all of F/C, not a basis of L, and it tests every word, not only the
-    generators.
+    pushes it into L through the ``Fraction`` images of
+    ``present_by_fractions``, on the presentation's default lift.  Its
+    unknowns are all of F/C, not a basis of L, and it tests every word, not
+    only the generators.
     """
     from nilmult.exactlin import Subspace
 
@@ -624,11 +668,12 @@ def epicenter_by_upper_centrals(pres):
             if residual:
                 entries.append((a, b, {pos[t]: v for t, v in residual.items()}))
     Zc = upper_centrals_by_fractions(len(keep), entries, steps=pres.c)[-1]
+    _, images = present_by_fractions(pres.algebra, pres.c)
     pushed = []
     for row in Zc.integer_rows():
         v: dict[int, Fraction] = {}
         for t, val in row.items():
-            for r, x in pres.images[keep[t]].items():
+            for r, x in images[keep[t]].items():
                 v[r] = v.get(r, 0) + val * x
         pushed.append(v)
     return Subspace(pres.algebra.dim, pushed)

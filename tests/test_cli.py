@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from nilmult import cli, fdlie, verify
+from nilmult import cli, fdlie, freelie, verify
 from nilmult.verify import VerifyCase
 
 
@@ -90,6 +90,21 @@ class TestWittHall:
         data = json.loads(out)
         assert data["dim"] == 6
         assert len(data["words"]) == 6
+
+    def test_hall_past_the_cap_exits_two(self, capsys, monkeypatch):
+        # the cap of free_nilpotent is checked on the Witt sum before any
+        # Hall word is built
+        def refused(*args):
+            raise AssertionError("hall_basis ran past the cap")
+
+        monkeypatch.setattr(freelie, "hall_basis", refused)
+        code, out, err = run(capsys, "hall", "--generators", "40", "--class", "8")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: free nilpotent algebra of rank 40 and class 8 has dimension "
+            f"{sum(freelie.witt(40, n) for n in range(1, 9))}, cap is 5000\n"
+        )
 
 
 class TestMake:

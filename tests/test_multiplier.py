@@ -45,7 +45,7 @@ from nilmult.multiplier import (
 )
 
 import oracles
-from oracles import random_lift, truncation_shapes
+from oracles import random_lift, relift, truncation_shapes
 
 F = Fraction
 
@@ -78,7 +78,7 @@ class TestPresent:
     def test_onto_map_is_surjective(self, corpus):
         for L in corpus:
             pres = present(L, 1)
-            assert len(pres.images) == pres.ambient.dim
+            assert len(pres.images) == pres.ambient.stratum_starts[pres.k + 1]
             assert Subspace(L.dim, pres.images) == Subspace.full(L.dim)
 
     def test_relations_contain_deep_stratum(self, corpus):
@@ -97,39 +97,6 @@ class TestPresent:
             present(sl2(), 1)
         assert exc.value.stabilized.rank == 3
 
-    def test_lift_with_negative_coordinate_rejected(self, h1):
-        with pytest.raises(ValueError, match="index -1 outside"):
-            present(h1, 1, lift=[{0: 1, -1: 1}, {1: 1}])
-
-    def test_lift_off_the_algebra_is_a_value_error(self, h1):
-        # a lift vector with no coordinate in range is bad input, not a
-        # broken invariant: ValueError, never PresentationError
-        with pytest.raises(ValueError, match="index -3 outside"):
-            present(h1, 1, lift=[{-3: 1}, {1: 1}])
-
-    @pytest.mark.parametrize("lift", [
-        [{0.9: 1}, {1: 1}],  # once read as e_0
-        [{True: 1}, {0: 1}],  # once read as e_1
-    ])
-    def test_lift_coordinate_must_be_an_int(self, h1, lift):
-        with pytest.raises(ValueError, match="lift coordinates must be ints"):
-            present(h1, 1, lift=lift)
-
-    def test_lift_with_wrong_count(self, h1):
-        with pytest.raises(ValueError):
-            present(h1, 1, lift=[{0: F(1)}])
-
-    def test_dependent_lift_rejected(self, h2):
-        # regression: components inside L^2 must not mask a dependence mod L^2
-        bad = [
-            {0: F(1), 1: F(-1), 3: F(1), 4: F(2)},
-            {1: F(1), 0: F(-1), 2: F(-1), 3: F(1), 4: F(-2)},
-            {2: F(1), 0: F(1), 1: F(-1), 3: F(-1), 4: F(-1)},
-            {3: F(1), 0: F(2), 1: F(2)},
-        ]
-        with pytest.raises(ValueError, match="span L modulo"):
-            present(h2, 1, lift=bad)
-
     def test_trivial_algebra(self):
         zero = LieAlgebra("0", (), {})
         pres = present(zero, 2)
@@ -137,12 +104,16 @@ class TestPresent:
         assert pres.relations.rank == 0
 
     def test_images_vanish_beyond_the_class(self, corpus):
+        # only the words of length <= k have images; the bracket of two
+        # of them whose lengths add up past k vanishes in L
         for L in corpus:
             k = series(L).nilpotency_class
             pres = present(L, 2)
-            assert len(pres.images) == pres.ambient.dim, L.name
-            for w in pres.ambient.basis:
-                assert bool(pres.images[w.key]) <= (w.length <= k), (L.name, str(w))
+            F, images = pres.ambient, pres.images
+            assert len(images) == F.stratum_starts[k + 1], L.name
+            for u in F.basis[: len(images)]:
+                for w in F.basis[F.stratum_starts[k + 1 - u.length]: len(images)]:
+                    assert not L._ibracket(images[u.key], images[w.key]), (L.name, str(u), str(w))
 
     def test_wrong_class_raises_presentation_error(self, h1, monkeypatch):
         # a class-1 report for H(1) makes [x, y] a length-(k+1) word whose
@@ -167,15 +138,23 @@ class TestPresent:
         return [fdlie.random_basis_change(L, rng, name=f"moved-{L.name}") for L in shapes]
 
     def test_matches_fraction_reference(self):
+        # the integer images are den^(k-1) times the Fraction images of the
+        # words of length <= k
         for L in self.moved_shapes(random.Random(919)):
             assert L.den > 1
             for c in (1, 2):
                 pres = present(L, c)
                 relations, images = oracles.present_by_fractions(L, c)
                 assert pres.relations == relations, (L.name, c)
-                assert [dict(img) for img in pres.images] == images, (L.name, c)
+                scale = L.den ** (pres.k - 1)
+                short = pres.ambient.stratum_starts[pres.k + 1]
+                want = [{r: x * scale for r, x in img.items()} for img in images[:short]]
+                assert list(pres.images) == want, (L.name, c)
+                assert all(type(x) is int for img in pres.images for x in img.values())
 
     def test_fractional_lift_matches_fraction_reference(self):
+        # a presentation on a fractional lift of L, as the presentation of
+        # L rewritten in the basis (lift, rows of L²)
         rng = random.Random(920)
         for L in self.moved_shapes(rng):
             lift = [
@@ -183,17 +162,10 @@ class TestPresent:
                 for t, v in enumerate(random_lift(L, rng))
             ]
             assert max(x.denominator for v in lift for x in v.values()) > 1
+            moved = relift(L, lift)
             for c in (1, 2):
-                pres = present(L, c, lift=lift)
-                relations, images = oracles.present_by_fractions(L, c, lift)
-                assert pres.relations == relations, (L.name, c)
-                assert [dict(img) for img in pres.images] == images, (L.name, c)
-
-    def test_float_lift_rejected(self, h1):
-        with pytest.raises(TypeError, match="float"):
-            present(h1, 1, lift=[{0: 0.1}, {1: 1}])
-        with pytest.raises(TypeError, match="float"):
-            present(h1, 1, lift=[{0: 1, 2: 0.0}, {1: 1}])
+                relations, _ = oracles.present_by_fractions(L, c, lift)
+                assert present(moved, c).relations == relations, (L.name, c)
 
     def test_relations_are_short_relations_plus_deep_block(self, corpus):
         shapes = list(corpus) + self.moved_shapes(random.Random(921))
@@ -301,8 +273,8 @@ _untruncated: dict = {}
 
 
 def untruncated_closure(pres: Presentation) -> Subspace:
-    """The untruncated closure of a default-lift presentation, computed once
-    per algebra and weight."""
+    """The untruncated closure of a presentation, computed once per
+    algebra and weight."""
     key = (pres.algebra.name, pres.c)
     if key not in _untruncated:
         _untruncated[key] = oracles.closure_by_every_word(pres.relations, pres.ambient, pres.c)
@@ -326,9 +298,9 @@ class TestClosureChain:
     def test_custom_lift_matches_untruncated(self):
         rng = random.Random(923)
         for L in truncation_shapes():
-            lift = random_lift(L, rng)
+            moved = relift(L, random_lift(L, rng))
             for c in (1, 2, 3) if L.dim <= 5 else (1, 2):
-                pres = present(L, c, lift=lift)
+                pres = present(moved, c)
                 want = oracles.closure_by_every_word(pres.relations, pres.ambient, c)
                 assert pres.closure == want, (L.name, c)
 
@@ -479,9 +451,9 @@ class TestNilpotentMultiplier:
         for L in corpus[:4] + corpus[6:8]:
             canonical = {c: nilpotent_multiplier(L, c).dimension for c in (1, 2)}
             for _ in range(3):
-                lift = random_lift(L, rng)
+                moved = relift(L, random_lift(L, rng))
                 for c in (1, 2):
-                    got = nilpotent_multiplier(L, c, lift=lift).dimension
+                    got = nilpotent_multiplier(moved, c).dimension
                     assert got == canonical[c], (L.name, c)
 
 
@@ -567,15 +539,26 @@ class TestEpicenterSolve:
                 assert pres.epicenter == oracles.epicenter_by_upper_centrals(pres), L.name
 
     def test_fractional_lifts_match(self):
+        # on a fractional lift, as L rewritten in the basis (lift, rows of
+        # L²); its epicenter, written back in L's basis, is Z*_c(L)
         rng = random.Random(31)
         for L in epicenter_shapes()[::2]:
             lift = [
                 {i: x * (F(1, 2) if t % 2 else F(-2, 3)) for i, x in v.items()}
                 for t, v in enumerate(random_lift(L, rng))
             ]
+            basis = oracles.lift_basis(L, lift)
             for c in (1, 2):
-                pres = present(L, c, lift=lift)
-                assert pres.epicenter == oracles.epicenter_by_upper_centrals(pres) == z_star(L, c), (L.name, c)
+                pres = present(relift(L, lift), c)
+                assert pres.epicenter == oracles.epicenter_by_upper_centrals(pres), (L.name, c)
+                back = []
+                for row in pres.epicenter.integer_rows():
+                    v: dict[int, Fraction] = {}
+                    for t, y in row.items():
+                        for r, x in basis[t].items():
+                            v[r] = v.get(r, 0) + y * x
+                    back.append(v)
+                assert Subspace(L.dim, back) == z_star(L, c), (L.name, c)
 
     def test_solve_brackets_only_generators(self, monkeypatch):
         # with the closure built, Z*_2(H(4)) takes the integer residue of
@@ -736,6 +719,32 @@ class TestClosureMemo:
         monkeypatch.setattr(Fraction, "__hash__", counting)
         assert report(L, 2)["dim_multiplier"] == 20
         assert hashed == []
+
+    @pytest.mark.parametrize("c", [1, 2])
+    @pytest.mark.parametrize("shape", ["H(2)", "H(1)+A(2)", "N(2,4)"])
+    def test_report_builds_no_fraction(self, monkeypatch, shape, c):
+        # report runs on integers from the loaded table to the verdicts
+        L = {
+            "H(2)": heisenberg(2),
+            "H(1)+A(2)": direct_sum(heisenberg(1), abelian(2)),
+            "N(2,4)": fdlie.from_free_nilpotent(FreeNilpotentAlgebra(2, 4), "N(2,4)"),
+        }[shape]
+        moved = fdlie.loads(fdlie.dumps(fdlie.random_basis_change(L, random.Random(11))))
+        assert moved.den > 1
+        built = []
+        fraction_new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return fraction_new(cls, *args, **kwargs)
+
+        clear_caches()
+        with monkeypatch.context() as patch:
+            patch.setattr(Fraction, "__new__", staticmethod(counting))
+            out = report(moved, c)
+        clear_caches()
+        assert built == []
+        assert out["dim_multiplier"] == nilpotent_multiplier(L, c).dimension
 
     def test_hashed_key(self):
         a, b = HashedKey(("x", (F(1, 2),))), HashedKey(("x", (F(1, 2),)))
@@ -945,7 +954,7 @@ class TestReportDict:
 class TestNilpotencyGuard:
     @pytest.mark.parametrize("entry", [
         lambda L: present(L, 1),
-        lambda L: present(L, 2, lift=[{0: 1}, {1: 1}, {2: 1}]),
+        lambda L: present(relift(L, [{0: 1}, {1: 1}, {2: 1}]), 2),
         lambda L: nilpotent_multiplier(L, 2),
         lambda L: z_star(L, 1),
         is_capable,
@@ -969,6 +978,7 @@ class TestRandomLift:
             lift = random_lift(L, rng)
             d = L.dim - series(L).gamma(2).rank
             assert len(lift) == d
-            # must be accepted by present, i.e. independent mod L^2
-            pres = present(L, 1, lift=lift)
+            # independent mod L^2: with the rows of L^2 a basis of L, whose
+            # rewritten algebra is presented on d generators
+            pres = present(relift(L, lift), 1)
             assert pres.ambient.rank == d
