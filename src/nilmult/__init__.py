@@ -24,7 +24,6 @@ from .fdlie import (
 from .freelie import (
     DimensionCapError,
     FreeNilpotentAlgebra,
-    HallTableError,
     HallWord,
     clear_caches,
     free_nilpotent,

@@ -115,7 +115,7 @@ class LieAlgebra:
 
     def _ibracket(self, x: Mapping[int, int], y: Mapping[int, int]) -> IntRow:
         """den·[x, y] on the integer table (integer x, y give integers)."""
-        return table_bracket(self._num, x, y)
+        return table_bracket(self._num.get, x, y)
 
     def bracket_vectors(self, x: Mapping[int, object], y: Mapping[int, object]) -> Combo:
         """[x, y] for sparse rational vectors."""
@@ -241,12 +241,12 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
     return LieAlgebra(f"{a.name}⊕{b.name}", labels, brackets, check=False)
 
 
-def from_free_nilpotent(F: FreeNilpotentAlgebra, name: str | None = None, *, check: bool = False) -> LieAlgebra:
+def from_free_nilpotent(F: FreeNilpotentAlgebra, name: str | None = None) -> LieAlgebra:
     """View a free nilpotent algebra as a plain structure-constant algebra."""
     labels = [str(w) for w in F.basis]
     if name is None:
         name = f"FN({F.rank},{F.nilpotency_class})"
-    return LieAlgebra(name, labels, F._table, check=check)
+    return LieAlgebra(name, labels, F.products(), check=False)
 
 
 @dataclass(frozen=True)

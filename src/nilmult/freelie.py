@@ -8,8 +8,9 @@ members.  With that order the words of length <= c form a basis of the free
 nilpotent Lie algebra of class c, and every bracket of basis words collapses
 to an integer combination of basis words by Jacobi rewriting.
 
-A structure table, here and in :mod:`nilmult.fdlie`, stores each non-zero
+A structure table, here and in :mod:`nilmult.fdlie`, holds each non-zero
 [e_i, e_j] once, under (i, j) with i < j; :func:`table_bracket` expands it.
+The free algebra's table computes each product on its first read.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 import weakref
 from collections import OrderedDict
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .exactlin import IntRow, Subspace, _primitive, _Spanner
 
@@ -30,11 +31,6 @@ MEMO_SIZE = 128
 
 class DimensionCapError(ValueError):
     """Requested free nilpotent algebra exceeds the configured dimension cap."""
-
-
-class HallTableError(ArithmeticError):
-    """The structure-table build read a product it had not computed yet;
-    seeing it means a bug in the build order, not bad input."""
 
 
 def _divisors(n: int) -> Iterator[int]:
@@ -118,15 +114,11 @@ def generator_labels(d: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(d))
 
 
-def hall_basis(d: int, c: int, labels: Sequence[str] | None = None) -> list[HallWord]:
+def hall_basis(d: int, c: int) -> list[HallWord]:
     """All Hall words of length <= c on d generators, in basis order."""
     if d < 0 or c < 1:
         raise ValueError("hall_basis requires d >= 0 and c >= 1")
-    if labels is None:
-        labels = generator_labels(d)
-    labels = tuple(labels)
-    if len(labels) != d:
-        raise ValueError(f"expected {d} generator labels, got {len(labels)}")
+    labels = generator_labels(d)
     words: list[HallWord] = [HallWord(i, None, None, 1, i, labels) for i in range(d)]
     strata: list[list[HallWord]] = [[], list(words)]
     for length in range(2, c + 1):
@@ -150,21 +142,21 @@ def hall_basis(d: int, c: int, labels: Sequence[str] | None = None) -> list[Hall
     return words
 
 
-def table_bracket(table: Mapping[tuple[int, int], Mapping[int, int]], x: Mapping[int, int],
-                  y: Mapping[int, int]) -> IntRow:
-    """Σ x_i·y_j·[e_i, e_j] over a structure table keyed i < j, where
-    [e_j, e_i] is the negation of the stored [e_i, e_j].  Integer x, y and
-    table give an integer result."""
+def table_bracket(product: Callable[[tuple[int, int]], Mapping[int, int] | None],
+                  x: Mapping[int, int], y: Mapping[int, int]) -> IntRow:
+    """Σ x_i·y_j·[e_i, e_j] over a structure table keyed i < j: ``product``
+    reads the stored [e_i, e_j] for i < j (None or empty when it is zero),
+    and [e_j, e_i] is its negation.  Integer x, y and table give an
+    integer result."""
     out: IntRow = {}
-    get = table.get
     # y is most often one basis vector, so it is the outer loop
     for j, yj in y.items():
         for i, xi in x.items():
             if i < j:
-                combo = get((i, j))
+                combo = product((i, j))
                 s = xi * yj
             elif i > j:
-                combo = get((j, i))
+                combo = product((j, i))
                 s = -xi * yj
             else:
                 continue
@@ -178,22 +170,62 @@ def table_bracket(table: Mapping[tuple[int, int], Mapping[int, int]], x: Mapping
     return out
 
 
+class _ProductTable(dict):
+    """[e_i, e_j] of a free nilpotent algebra under (i, j), i < j, each
+    computed on its first read and kept.
+
+    A pair whose weights add up to more than the class reads as empty and
+    is not stored.  For u = basis[j] > v = basis[i], a Hall pair (u, v)
+    gives [v, u] = -[u, v] as minus its word; otherwise u = [a, b] with
+    v < b < a, and Jacobi gives [v, u] = [[v, a], b] - [[v, b], a], whose
+    products are read, and so filled, in turn.  Each of those is a lighter
+    pair, or one of the same weight whose larger factor, then smaller
+    factor, comes first; so the nesting ends, at most class - 2 fills deep,
+    in whatever order the pairs are first read.
+    """
+
+    __slots__ = ("_basis", "_class", "_pairs")
+
+    def __init__(self, basis: Sequence[HallWord], nilpotency_class: int):
+        super().__init__()
+        self._basis = basis
+        self._class = nilpotency_class
+        self._pairs = {(w.left.key, w.right.key): w.key for w in basis if w.gen is None}
+
+    def __missing__(self, key: tuple[int, int]) -> IntRow:
+        i, j = key
+        v, u = self._basis[i], self._basis[j]
+        if v.length + u.length > self._class:
+            return {}
+        if u.gen is not None or i >= u.right.key:
+            out = {self._pairs[(j, i)]: -1}
+        else:
+            out = {}
+            for sign, x, z in ((1, u.left.key, u.right.key), (-1, u.right.key, u.left.key)):
+                for k, ck in self[i, x].items():  # [v, x], with v < x
+                    if k != z:
+                        f, outer = (sign * ck, self[k, z]) if k < z else (-sign * ck, self[z, k])
+                        for m, cm in outer.items():
+                            out[m] = out.get(m, 0) + f * cm
+            out = {m: c for m, c in out.items() if c}
+        self[key] = out
+        return out
+
+
 class FreeNilpotentAlgebra:
     """Free nilpotent Lie algebra of the given rank and nilpotency class.
 
-    The basis is the Hall basis; brackets of basis elements are precomputed
-    as integer combinations.  Instances are immutable and cached, see
-    :func:`free_nilpotent`.
+    The basis is the Hall basis.  A bracket of basis elements is an integer
+    combination of them, computed when it is first read and kept.
+    Instances are cached, see :func:`free_nilpotent`.
     """
 
-    __slots__ = ("rank", "nilpotency_class", "labels", "basis", "dim",
-                 "stratum_starts", "_table")
+    __slots__ = ("rank", "nilpotency_class", "basis", "dim", "stratum_starts", "_table")
 
-    def __init__(self, rank: int, nilpotency_class: int, labels: Sequence[str] | None = None):
-        basis = hall_basis(rank, nilpotency_class, labels)
+    def __init__(self, rank: int, nilpotency_class: int):
+        basis = hall_basis(rank, nilpotency_class)
         self.rank = rank
         self.nilpotency_class = nilpotency_class
-        self.labels = basis[0]._labels if basis else generator_labels(rank)
         self.basis = tuple(basis)
         self.dim = len(basis)
         # stratum_starts[w] = index of the first word of length w, for
@@ -204,78 +236,35 @@ class FreeNilpotentAlgebra:
         for w in range(1, nilpotency_class + 2):
             starts[w] = max(starts[w], starts[w - 1])
         self.stratum_starts = tuple(starts)
-        self._table = self._build_table()
+        self._table = _ProductTable(self.basis, nilpotency_class)
 
-    def _build_table(self) -> dict[tuple[int, int], IntRow]:
-        """[e_i, e_j] for every pair i < j of basis words within the class,
-        stored once under (i, j) as in :class:`~nilmult.fdlie.LieAlgebra`.
-
-        Pairs u > v are visited by total weight, then u, then v, and each is
-        stored as [v, u] = -[u, v].  A Hall pair is a basis word; otherwise
-        u = [a, b] with v < b, and Jacobi gives [u, v] = [[a, v], b] +
-        [a, [b, v]], whose products were all visited earlier.  Reading a
-        product that was not raises HallTableError; it is never taken as
-        zero.
-        """
-        basis = self.basis
-        starts = self.stratum_starts
-        pair_index = {(w.left.key, w.right.key): w.key for w in basis if w.gen is None}
-        table: dict[tuple[int, int], IntRow] = {}
-
-        def product(x: int, y: int):
-            """(s, combo) with [e_x, e_y] = s·combo."""
-            if x == y:
-                return 1, {}
-            combo = table.get((x, y) if x < y else (y, x))
-            if combo is None:
-                raise HallTableError(
-                    f"[{basis[x]}, {basis[y]}] was read before it was computed"
-                )
-            return (1 if x < y else -1), combo
-
-        for total in range(2, self.nilpotency_class + 1):
-            for wu in range((total + 1) // 2, total):
-                wv = total - wu
-                for i in range(starts[wu], starts[wu + 1]):
-                    u = basis[i]
-                    for j in range(starts[wv], min(i, starts[wv + 1])):
-                        if u.gen is not None or j >= u.right.key:
-                            out = {pair_index[(i, j)]: -1}
-                        else:
-                            # -[u, v] = -[[a, v], b] + [[b, v], a]
-                            a, b = u.left.key, u.right.key
-                            out = {}
-                            for sign, x, z in ((-1, a, b), (1, b, a)):
-                                s1, inner = product(x, j)
-                                for k, ck in inner.items():
-                                    s2, outer = product(k, z)
-                                    f = sign * s1 * s2 * ck
-                                    for m, cm in outer.items():
-                                        out[m] = out.get(m, 0) + f * cm
-                            out = {m: c for m, c in out.items() if c}
-                        table[(j, i)] = out
-        return {pair: combo for pair, combo in table.items() if combo}
+    def products(self) -> dict[tuple[int, int], IntRow]:
+        """Every non-zero [e_i, e_j] with i < j, under (i, j) in sorted
+        order: the whole structure table, in the layout of
+        :class:`~nilmult.fdlie.LieAlgebra`.  Reads, and so fills, all of it."""
+        table, starts, c = self._table, self.stratum_starts, self.nilpotency_class
+        # in a free algebra no two distinct words commute, so none is empty
+        return {(i, j): table[i, j]
+                for i in range(self.dim) for j in range(i + 1, starts[c - self.weight(i) + 1])}
 
     def weight(self, index: int) -> int:
         return self.basis[index].length
 
-    _EMPTY: dict[int, int] = {}
-
     def bracket_indices(self, i: int, j: int) -> dict[int, int]:
         """[e_i, e_j] as an integer combination of basis indices.
 
-        The table stores each pair once, under (i, j) with i < j; for i > j
-        the stored combination is negated into a fresh dict.  For i < j the
-        returned dict is shared with the structure table; callers must not
-        mutate it.
+        The table holds each pair once, under (i, j) with i < j, and
+        computes it on its first read.  For i > j the combination is
+        negated into a fresh dict.  For i < j the returned dict is the
+        table's own; callers must not mutate it.
         """
-        if i > j:
-            return {k: -c for k, c in self._table.get((j, i), self._EMPTY).items()}
-        return self._table.get((i, j), self._EMPTY)
+        if i < j:
+            return self._table[i, j]
+        return {k: -c for k, c in self._table[j, i].items()} if i > j else {}
 
     def bracket_row_index(self, row: Mapping[int, int], j: int) -> IntRow:
         """[row, e_j] for a sparse integer row."""
-        return table_bracket(self._table, row, {j: 1})
+        return table_bracket(self._table.__getitem__, row, {j: 1})
 
     def gamma(self, k: int) -> Subspace:
         """The k-th term of the lower central series as a coordinate subspace."""
@@ -371,11 +360,9 @@ def free_nilpotent(d: int, c: int, dim_cap: int = DIM_CAP) -> FreeNilpotentAlgeb
     return _memoised((d, c), lambda: FreeNilpotentAlgebra(d, c))
 
 
-def span_bracket_rows(
-    F: FreeNilpotentAlgebra, rows: Sequence[IntRow], top: int | None = None
-) -> list[IntRow]:
+def span_bracket_rows(F: FreeNilpotentAlgebra, rows: Sequence[IntRow], top: int) -> list[IntRow]:
     """Canonical basis rows of span{[r, w] : r in rows, w a basis word},
-    cut to the words of weight <= ``top`` (default: the class).
+    cut to the words of weight <= ``top``.
 
     By bilinearity this is [S, F] for S the span of ``rows``, projected.
     Each product is homogeneous in the weights of its factors, so the
@@ -395,8 +382,7 @@ def span_bracket_rows(
       span all of that block, its unit rows are the answer, and the
       products not yet inserted cannot add to it.
     """
-    if top is None or top > F.nilpotency_class:
-        top = F.nilpotency_class
+    top = min(top, F.nilpotency_class)
     starts = F.stratum_starts
     carried: list[IntRow] = []
     if top >= 2:

@@ -9,11 +9,11 @@ random central lines (seeded) never change between invocations.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exactlin import Subspace
+from .exactlin import Subspace, _primitive
 from .fdlie import LieAlgebra, abelian, direct_sum, heisenberg, quotient, recognize_derived_dim_one, series
 from .freelie import hall_basis, witt
 from . import multiplier as mult
@@ -50,33 +50,36 @@ def central_lines(L: LieAlgebra, rng: random.Random) -> list[Subspace]:
 
     Every such line is automatically an ideal.  The family: each basis row
     of Z(L), pairwise sums of those rows, and a few seeded random central
-    vectors; duplicates are removed via canonical bases.
+    vectors; duplicates are removed via canonical bases.  The rows are the
+    RREF rows of Z(L) scaled by the lcm of their pivot entries, so each sum
+    is an integer multiple of the rational one and spans the same line.
     """
     Z = series(L).z(1)
-    rows = list(Z.rational_rows())
-    seen = {}
-    for v in rows:
-        seen.setdefault(Subspace(L.dim, [v]), v)
+    ints = Z.integer_rows()
+    scale = math.lcm(*(row[min(row)] for row in ints))
+    rows = [{c: v * (scale // row[min(row)]) for c, v in row.items()} for row in ints]
+    vectors = list(rows)
     for a in range(len(rows)):
         for b in range(a + 1, len(rows)):
             v = dict(rows[a])
             for ccol, val in rows[b].items():
-                v[ccol] = v.get(ccol, Fraction(0)) + val
-            seen.setdefault(Subspace(L.dim, [v]), v)
+                v[ccol] = v.get(ccol, 0) + val
+            vectors.append(v)
     for _ in range(_EXTRA_CENTRAL_LINES):
         coeffs = [rng.randint(-2, 2) for _ in rows]
         v = {}
         for coeff, row in zip(coeffs, rows):
             if coeff:
                 for ccol, val in row.items():
-                    n = v.get(ccol, Fraction(0)) + coeff * val
+                    n = v.get(ccol, 0) + coeff * val
                     if n:
                         v[ccol] = n
                     else:
                         del v[ccol]
         if v:
-            seen.setdefault(Subspace(L.dim, [v]), v)
-    return [s for s in seen if s.rank == 1]
+            vectors.append(v)
+    # dict keys keep the first of equal lines, in order
+    return list(dict.fromkeys(Subspace._from_rows(L.dim, [_primitive(v)]) for v in vectors))
 
 
 def _m2(L: LieAlgebra) -> int:

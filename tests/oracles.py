@@ -317,7 +317,7 @@ def closure_by_every_word(S, F, depth: int):
     from nilmult.exactlin import Subspace
 
     partners: dict[int, list] = {}
-    for (i, j), combo in F._table.items():  # [e_i, e_j], stored for i < j only
+    for (i, j), combo in F.products().items():  # [e_i, e_j], held for i < j only
         partners.setdefault(i, []).append((j, combo))
         partners.setdefault(j, []).append((i, {k: -c for k, c in combo.items()}))
     current = S
@@ -333,6 +333,26 @@ def closure_by_every_word(S, F, depth: int):
             products.extend(by_word.values())
         current = Subspace(F.dim, products)
     return current
+
+
+def central_lines_by_fractions(L, rng) -> list:
+    """The 1-dimensional central subspaces of ``verify.central_lines``, built
+    from the rational RREF rows of Z(L): each row, the pairwise sums and
+    three seeded random combinations, in that order, without repeats."""
+    from nilmult.exactlin import Subspace
+    from nilmult.fdlie import series
+
+    rows = list(series(L).z(1).rational_rows())
+    vectors = list(rows)
+    for a in range(len(rows)):
+        for b in range(a + 1, len(rows)):
+            pair = rows[a].keys() | rows[b].keys()
+            vectors.append({k: rows[a].get(k, 0) + rows[b].get(k, 0) for k in pair})
+    for _ in range(3):
+        coeffs = [rng.randint(-2, 2) for _ in rows]
+        vectors.append({k: sum(c * row.get(k, 0) for c, row in zip(coeffs, rows)) for k in range(L.dim)})
+    lines = {Subspace(L.dim, [v]): None for v in vectors}
+    return [line for line in lines if line.rank == 1]
 
 
 def random_lift(L, rng) -> list[dict[int, Fraction]]:

@@ -425,7 +425,7 @@ class TestIntegerTable:
         monkeypatch.setattr(fdlie, "_as_fraction", lambda x: made.append(x) or as_fraction(x))
         free = freelie.free_nilpotent(3, 3)
         L = from_free_nilpotent(free)
-        assert made == [] and L.den == 1 and L._num == free._table
+        assert made == [] and L.den == 1 and L._num == free.products()
         assert all(type(v) is int for combo in L._num.values() for v in combo.values())
         # an integral Fraction is kept as its int numerator
         L = LieAlgebra("h", ("x", "y", "z"), {(0, 1): {2: F(4, 2)}})

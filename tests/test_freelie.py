@@ -1,20 +1,18 @@
 """Hall bases, Witt counts, and the collected structure table of free
 nilpotent Lie algebras, cross-checked against independent oracles."""
 
-import builtins
 import random
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilmult import freelie
+from nilmult import clear_caches, freelie
 from nilmult.exactlin import Subspace
 from nilmult.fdlie import from_free_nilpotent, heisenberg
 from nilmult.freelie import (
     DimensionCapError,
     FreeNilpotentAlgebra,
-    HallTableError,
     free_nilpotent,
     generator_labels,
     hall_basis,
@@ -22,7 +20,7 @@ from nilmult.freelie import (
     span_bracket_rows,
     witt,
 )
-from nilmult.multiplier import present
+from nilmult.multiplier import present, report
 
 from oracles import (
     AssocPoly, closure_by_every_word, expand_combination, expand_hall_word, jacobi_table_by_recursion, lyndon_count,
@@ -97,12 +95,6 @@ class TestHallBasis:
         assert generator_labels(2) == ("x", "y")
         assert generator_labels(3) == ("x1", "x2", "x3")
         assert generator_labels(0) == ()
-
-    def test_custom_labels(self):
-        words = hall_basis(2, 2, labels=("a", "b"))
-        assert [str(w) for w in words] == ["a", "b", "[b,a]"]
-        with pytest.raises(ValueError):
-            hall_basis(2, 2, labels=("a",))
 
 
 class TestReduceBracket:
@@ -200,24 +192,56 @@ def test_row_bracket_matches_associative_expansion(data):
     assert expand_combination(F.bracket_row_index(row, j), F.basis, c) == expected
 
 
+def _pairs_within_class(F):
+    """Every pair i < j whose product the class does not cut off."""
+    starts, c = F.stratum_starts, F.nilpotency_class
+    return [(i, j) for i in range(F.dim) for j in range(i + 1, starts[c - F.weight(i) + 1])]
+
+
 class TestTableBuild:
     @pytest.mark.parametrize("d, c", [(2, 6), (3, 4), (8, 4)])
     def test_free_view_is_the_table(self, d, c):
         # one layout: each pair once, keyed i < j, and the structure-constant
         # view of F holds exactly that table
         F = FreeNilpotentAlgebra(d, c)
-        assert all(i < j for i, j in F._table)
-        assert from_free_nilpotent(F)._num == F._table
+        products = F.products()
+        assert all(i < j for i, j in products) and list(products) == sorted(products)
+        assert from_free_nilpotent(F)._num == products
 
     @pytest.mark.parametrize("d, c", [(2, 6), (3, 5), (2, 8), (3, 6), (4, 5), (8, 4)])
     def test_matches_recursive_reference(self, d, c):
         F = FreeNilpotentAlgebra(d, c)
         reference = jacobi_table_by_recursion(F)
-        # the table stores the reference's i < j half; its i > j half is the negation
-        assert F._table == {(i, j): combo for (i, j), combo in reference.items() if i < j}
+        # the table holds the reference's i < j half; its i > j half is the negation
+        assert F.products() == {(i, j): combo for (i, j), combo in reference.items() if i < j}
         for (i, j), combo in reference.items():
             if i > j:
                 assert combo == {k: -v for k, v in reference[(j, i)].items()}, (i, j)
+
+    @pytest.mark.parametrize("d, c", [(2, 6), (3, 4), (8, 4)])
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_any_read_order_gives_the_reference(self, d, c, order):
+        # a product is computed on its first read, whatever was read before it
+        F = FreeNilpotentAlgebra(d, c)
+        pairs = _pairs_within_class(F)
+        if order == "reversed":
+            pairs.reverse()
+        else:
+            random.Random(16 * d + c).shuffle(pairs)
+        got = {(i, j): F.bracket_indices(i, j) for i, j in pairs}
+        reference = jacobi_table_by_recursion(F)
+        assert {pair: combo for pair, combo in got.items() if combo} == {
+            (i, j): combo for (i, j), combo in reference.items() if i < j
+        }
+
+    def test_report_computes_a_fraction_of_the_table(self):
+        # report(H(4), 2) reads about a quarter of F(8, 4)'s products, and
+        # no product is computed before it is read
+        clear_caches()
+        report(heisenberg(4), 2)
+        F = free_nilpotent(8, 4)
+        assert len(_pairs_within_class(F)) == 1974
+        assert 0 < len(F._table) < 1974 // 2
 
     def test_leaves_the_recursion_limit_alone(self, monkeypatch):
         def refuse(limit):
@@ -225,17 +249,12 @@ class TestTableBuild:
 
         monkeypatch.setattr(sys, "setrecursionlimit", refuse)
         assert FreeNilpotentAlgebra(8, 4).dim == 1212
-        assert FreeNilpotentAlgebra(2, 10).dim == 226
-
-    def test_out_of_order_read_raises(self, monkeypatch):
-        # visiting every range backwards reads weight-3 products while
-        # building weight 4, before they exist; that must not count as zero
-        F = FreeNilpotentAlgebra(2, 4)
-        monkeypatch.setattr(
-            freelie, "range", lambda *args: reversed(builtins.range(*args)), raising=False
-        )
-        with pytest.raises(HallTableError, match="before it was computed"):
-            F._build_table()
+        F = FreeNilpotentAlgebra(2, 10)
+        assert F.dim == 226
+        # read backwards, each product nests the fills of those it rests on
+        for i, j in reversed(_pairs_within_class(F)):
+            F.bracket_indices(i, j)
+        assert len(F._table) == len(_pairs_within_class(F))
 
 
 class TestFreeNilpotent:
@@ -295,20 +314,20 @@ class TestSpanBracketRows:
     def test_full_algebra_brackets_to_derived(self):
         F = free_nilpotent(2, 2)
         rows = [{i: 1} for i in range(F.dim)]
-        out = span_bracket_rows(F, rows)
+        out = span_bracket_rows(F, rows, F.nilpotency_class)
         assert len(out) == 1
         assert out[0] == {2: 1}
 
     def test_zero_in_zero_out(self):
         F = free_nilpotent(2, 3)
-        assert span_bracket_rows(F, []) == []
+        assert span_bracket_rows(F, [], F.nilpotency_class) == []
 
     def test_matches_gamma_shift(self):
         # bracketing a whole stratum span against F lands in the next stratum
         F = free_nilpotent(3, 3)
         start = F.stratum_starts[2]
         rows = [{i: 1} for i in range(start, F.dim)]
-        out = span_bracket_rows(F, rows)
+        out = span_bracket_rows(F, rows, F.nilpotency_class)
         pivots = sorted(min(r) for r in out)
         assert pivots == list(range(F.stratum_starts[3], F.dim))
 
@@ -358,7 +377,7 @@ class TestSpanBracketRules:
         F = free_nilpotent(3, 3)
         starts = F.stratum_starts
         calls = self.count_work(monkeypatch)
-        out = span_bracket_rows(F, [{j: 1} for j in range(starts[2], starts[3])])
+        out = span_bracket_rows(F, [{j: 1} for j in range(starts[2], starts[3])], F.nilpotency_class)
         assert calls["bracket"] == 0
         assert out == [{j: 1} for j in range(starts[3], starts[4])]
 
@@ -378,6 +397,6 @@ class TestSpanBracketRules:
         rows = [{j: 1} for j in range(starts[2] + 1, starts[3])]
         want = closure_by_every_word(Subspace(F.dim, rows), F, 1)
         calls = self.count_work(monkeypatch)
-        out = span_bracket_rows(F, rows)
+        out = span_bracket_rows(F, rows, F.nilpotency_class)
         assert calls["bracket"] > 0 and calls["insert"] == calls["product"] and calls["canonical"] == 1
         assert out == list(want.integer_rows()) and len(out) < witt(3, 3)

@@ -2,10 +2,14 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
+import oracles
 from nilmult import verify
+from nilmult.fdlie import direct_sum, from_free_nilpotent, heisenberg, random_basis_change, series
+from nilmult.freelie import FreeNilpotentAlgebra
 from nilmult.verify import VerifyCase, central_lines, corpus, run_cases, render_text, to_json
 
 
@@ -73,13 +77,32 @@ class TestCorpus:
 
 class TestCentralLines:
     def test_lines_are_central_rank_one(self):
-        from nilmult.fdlie import series
-
         for L in corpus(max_abelian=3, max_heisenberg=2):
             Z = series(L).z(1)
             for line in central_lines(L, random.Random(1)):
                 assert line.rank == 1
                 assert Z.contains_subspace(line)
+
+    @pytest.mark.parametrize("shape", range(13))
+    @pytest.mark.parametrize("moved", [False, True], ids=["given", "random-basis"])
+    def test_lines_are_built_on_integers(self, monkeypatch, shape, moved):
+        # the same lines as the rational construction, and no Fraction made
+        n23 = from_free_nilpotent(FreeNilpotentAlgebra(2, 3), "N(2,3)")
+        L = (corpus() + [n23, direct_sum(heisenberg(1), n23)])[shape]
+        if moved:
+            L = random_basis_change(L, random.Random(shape))
+        built = []
+        fraction_new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return fraction_new(cls, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Fraction, "__new__", staticmethod(counting))
+            lines = central_lines(L, random.Random(shape))
+        assert built == []
+        assert lines == oracles.central_lines_by_fractions(L, random.Random(shape))
 
     def test_family_is_deterministic(self):
         L = corpus()[3]  # A(4), center of dimension 4
