@@ -66,25 +66,26 @@ def _primitive(row: IntRow) -> IntRow:
     return row
 
 
-def _int_row(vec) -> IntRow:
-    """Sparse primitive integer row from a mapping or sequence of rationals."""
-    if isinstance(vec, Mapping):
-        items = vec.items()
-    else:
-        items = enumerate(vec)
-    frac: dict[int, Fraction] = {}
-    for c, v in items:
+def _cleared(vec, n: int) -> tuple[int, IntRow]:
+    """(den, den·vec) for an exact vector of Q^n, a mapping or a sequence, den
+    the lcm of its denominators.  The one check of outside input: it refuses
+    a bool index, a value not an int or a ``Fraction``, or a non-zero entry
+    off 0..n-1."""
+    v: dict[int, Coeff] = {}
+    den = 1
+    for c, x in vec.items() if isinstance(vec, Mapping) else enumerate(vec):
         if c is True or c is False:
             raise TypeError(f"vector index {c!r} is a bool, not an int")
-        f = _as_fraction(v)
-        if f:
-            frac[c] = f
-    if not frac:
-        return {}
-    den = 1
-    for f in frac.values():
-        den = den * f.denominator // math.gcd(den, f.denominator)
-    return _primitive({c: int(f * den) for c, f in frac.items()})
+        if type(x) is not int and not isinstance(x, Fraction):
+            _as_fraction(x)  # raises TypeError unless x is exact; a bool is not
+        if x:
+            if not 0 <= c < n:
+                raise ValueError(f"vector index {c} outside ambient dimension {n}")
+            v[c] = x
+            d = x.denominator
+            if d != 1:
+                den = den * d // math.gcd(den, d)
+    return den, {c: x.numerator * (den // x.denominator) for c, x in v.items()}
 
 
 def _eliminate(v: IntRow, row: IntRow, p: int) -> IntRow:
@@ -220,11 +221,7 @@ class Subspace:
     def __init__(self, ambient_dim: int, vectors: Iterable = ()):  # noqa: D401
         sp = _Spanner()
         for v in vectors:
-            row = _int_row(v)
-            if row and not 0 <= min(row) <= max(row) < ambient_dim:
-                bad = min(row) if min(row) < 0 else max(row)
-                raise ValueError(f"vector index {bad} outside ambient dimension {ambient_dim}")
-            sp.insert(row)
+            sp.insert(_cleared(v, ambient_dim)[1])
         self._install(ambient_dim, sp.canonical())
 
     def _install(self, ambient_dim: int, rows: list[IntRow]):
@@ -285,27 +282,12 @@ class Subspace:
 
         The result is supported on non-pivot columns only, so it is the
         canonical representative of ``vector`` modulo this subspace.  It is
-        the ``Fraction`` view of :meth:`_residue`: ``vector`` is cleared of
-        denominators by their lcm ``den``, and (s, w) = ``_residue`` of that
-        integer row gives the residual w / (s · den).
+        the ``Fraction`` view of :meth:`_residue`: ``_cleared`` checks and
+        clears ``vector`` to the integer row den·vector, and (s, w) =
+        ``_residue`` of that row gives the residual w / (s · den).
         """
-        n = self.ambient_dim
-        v: dict[int, Coeff] = {}
-        den = 1
-        items = vector.items() if isinstance(vector, Mapping) else enumerate(vector)
-        for c, x in items:
-            if c is True or c is False:
-                raise TypeError(f"vector index {c!r} is a bool, not an int")
-            if type(x) is not int and not isinstance(x, Fraction):
-                _as_fraction(x)  # raises TypeError unless x is exact; a bool is not
-            if x:
-                if not 0 <= c < n:
-                    raise ValueError(f"vector index {c} outside ambient dimension {n}")
-                v[c] = x
-                d = x.denominator
-                if d != 1:
-                    den = den * d // math.gcd(den, d)
-        s, w = self._residue({c: x.numerator * (den // x.denominator) for c, x in v.items()})
+        den, row = _cleared(vector, self.ambient_dim)
+        s, w = self._residue(row)
         s *= den
         return {c: Fraction(x, s) for c, x in w.items()}
 

@@ -4,8 +4,8 @@ An algebra is stored as its bracket table on an ordered basis: for index
 pairs i < j only, the integer numerators of [e_i, e_j] over one common
 denominator ``den``.  Internal brackets run on den·[·,·], which has the same
 central series, ideals and kernels; the public views divide by ``den``.
-User facing ingestion paths check the Jacobi identity; constructors whose
-tables are correct by construction skip the check.
+``loads`` and the constructions here pass integer tables to the trusted
+``LieAlgebra._from_num``; only ``loads`` then runs the Jacobi check.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def _is_int(x) -> bool:
 
 
 def _clean_combo(combo: Mapping[int, object], dim: int, where: str) -> Combo:
-    """The non-zero entries of ``combo``, an integral value as an ``int``."""
+    """The non-zero entries of ``combo``, each an int or a Fraction."""
     out: Combo = {}
     for k, v in combo.items():
         if not _is_int(k):
@@ -68,50 +68,52 @@ def _clean_combo(combo: Mapping[int, object], dim: int, where: str) -> Combo:
             raise ValidationError(f"{where}: basis index {k!r} out of range", where)
         f = v if type(v) is int else _as_fraction(v)
         if f:
-            out[k] = f.numerator if f.denominator == 1 else f
+            out[k] = f
     return out
 
 
 class LieAlgebra:
     """Lie algebra on a finite ordered basis with exact rational brackets,
-    held as integer numerators over the common denominator ``den``."""
+    held as integer numerators over the least common denominator ``den``.
+    ``brackets[(i, j)]``, i < j, maps basis indices to ints or Fractions;
+    the keys, the values and Jacobi are checked (:class:`ValidationError`)."""
 
     __slots__ = ("name", "dim", "basis_labels", "den", "_num", "_fingerprint", "_memo_key", "_lower")
 
-    def __init__(
-        self,
-        name: str,
-        basis_labels: Sequence[str],
-        brackets: Mapping[tuple[int, int], Mapping[int, object]],
-        *,
-        check: bool = True,
-    ):
+    def __init__(self, name: str, basis_labels: Sequence[str], brackets: Mapping[tuple[int, int], Mapping]):
+        dim = len(basis_labels)
+        table: dict[tuple[int, int], Combo] = {}
+        for (i, j), combo in brackets.items():
+            if not (_is_int(i) and _is_int(j) and 0 <= i < j < dim):
+                raise ValidationError(f"bracket key ({i!r},{j!r}) must be ints with 0 <= i < j < dim", (i, j))
+            if cleaned := _clean_combo(combo, dim, f"bracket ({i},{j})"):
+                table[(i, j)] = cleaned
+        den = math.lcm(*(f.denominator for combo in table.values() for f in combo.values()))
+        num = {p: {k: f.numerator * (den // f.denominator) for k, f in c.items()} for p, c in table.items()}
+        self._install(name, basis_labels, den, num)
+        self._check_jacobi()
+
+    @classmethod
+    def _from_num(cls, name: str, basis_labels: Sequence[str], den: int, num: dict) -> "LieAlgebra":
+        """Trusted constructor: ``num[(i, j)]``, i < j, is the non-empty
+        integer row den·[e_i, e_j]; the rows are kept, not copied."""
+        self = object.__new__(cls)
+        self._install(name, basis_labels, den, num)
+        return self
+
+    def _install(self, name: str, basis_labels: Sequence[str], den: int, num: dict):
+        # den lowered by its gcd with the numerators: equal rational tables store equal ints
+        g = math.gcd(den, *(v for row in num.values() for v in row.values())) if den > 1 else 1
         self.name = name
         self.basis_labels = tuple(basis_labels)
         self.dim = len(self.basis_labels)
-        table: dict[tuple[int, int], Combo] = {}
-        for (i, j), combo in brackets.items():
-            if not (_is_int(i) and _is_int(j) and 0 <= i < j < self.dim):
-                raise ValidationError(
-                    f"bracket key ({i!r},{j!r}) must be ints with 0 <= i < j < dim", (i, j)
-                )
-            cleaned = _clean_combo(combo, self.dim, f"bracket ({i},{j})")
-            if cleaned:
-                table[(i, j)] = cleaned
-        den = math.lcm(*(f.denominator for combo in table.values() for f in combo.values()))
-        self.den = den
-        # over den = 1 every value is already an int
+        self.den = den // g
         self._num: dict[tuple[int, int], IntRow] = {
-            pair: table[pair] if den == 1 else {
-                k: f.numerator * (den // f.denominator) for k, f in table[pair].items()
-            }
-            for pair in sorted(table)
+            pair: num[pair] if g == 1 else {k: v // g for k, v in num[pair].items()} for pair in sorted(num)
         }
         self._fingerprint = None
         self._memo_key: HashedKey | None = None
         self._lower: tuple[Subspace, ...] | None = None  # kept by series()
-        if check:
-            self._check_jacobi()
 
     def _ibracket(self, x: Mapping[int, int], y: Mapping[int, int]) -> IntRow:
         """den·[x, y] on the integer table (integer x, y give integers)."""
@@ -208,13 +210,13 @@ def validate(name: str, basis_labels: Sequence[str], table) -> LieAlgebra:
                 raise ValidationError(f"antisymmetry fails at ({i + 1},{j + 1})", (i + 1, j + 1))
             if grid[i][j]:
                 brackets[(i, j)] = grid[i][j]
-    return LieAlgebra(name, basis_labels, brackets, check=True)
+    return LieAlgebra(name, basis_labels, brackets)
 
 
 def abelian(n: int) -> LieAlgebra:
     if n < 0:
         raise ValueError("abelian(n) requires n >= 0")
-    return LieAlgebra(f"A({n})", [f"a{i + 1}" for i in range(n)], {}, check=False)
+    return LieAlgebra._from_num(f"A({n})", [f"a{i + 1}" for i in range(n)], 1, {})
 
 
 def heisenberg(m: int) -> LieAlgebra:
@@ -227,18 +229,18 @@ def heisenberg(m: int) -> LieAlgebra:
     labels.append("z")
     z = 2 * m
     brackets = {(2 * i, 2 * i + 1): {z: 1} for i in range(m)}
-    return LieAlgebra(f"H({m})", labels, brackets, check=False)
+    return LieAlgebra._from_num(f"H({m})", labels, 1, brackets)
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
+    """A ⊕ B over the lcm of the two denominators, B's basis after A's."""
     labels = [f"{lbl}" for lbl in a.basis_labels] + [f"{lbl}'" for lbl in b.basis_labels]
-    brackets: dict[tuple[int, int], Combo] = {}
-    for i, j, combo in a.entries():
-        brackets[(i, j)] = combo
-    off = a.dim
-    for i, j, combo in b.entries():
-        brackets[(i + off, j + off)] = {k + off: v for k, v in combo.items()}
-    return LieAlgebra(f"{a.name}⊕{b.name}", labels, brackets, check=False)
+    den = math.lcm(a.den, b.den)
+    ta, tb, off = den // a.den, den // b.den, a.dim
+    num = {pair: {k: v * ta for k, v in combo.items()} for pair, combo in a._num.items()}
+    for (i, j), combo in b._num.items():
+        num[(i + off, j + off)] = {k + off: v * tb for k, v in combo.items()}
+    return LieAlgebra._from_num(f"{a.name}⊕{b.name}", labels, den, num)
 
 
 def from_free_nilpotent(F: FreeNilpotentAlgebra, name: str | None = None) -> LieAlgebra:
@@ -246,7 +248,7 @@ def from_free_nilpotent(F: FreeNilpotentAlgebra, name: str | None = None) -> Lie
     labels = [str(w) for w in F.basis]
     if name is None:
         name = f"FN({F.rank},{F.nilpotency_class})"
-    return LieAlgebra(name, labels, F.products(), check=False)
+    return LieAlgebra._from_num(name, labels, 1, F.products())
 
 
 @dataclass(frozen=True)
@@ -432,7 +434,8 @@ def quotient(L: LieAlgebra, ideal: Subspace) -> LieAlgebra:
     """L/I on the non-pivot coordinates of the ideal's RREF basis.
 
     Only the stored pairs give non-zero brackets; each kept one is reduced
-    modulo I as an integer residue (s, w), standing for w / (s·den).
+    modulo I as an integer residue (s, w), standing for w / (s·den), and
+    rescaled to the lcm S of the scales, over the denominator S·den.
     """
     if ideal.ambient_dim != L.dim:
         raise ValueError(f"ideal lives in Q^{ideal.ambient_dim}, algebra has dim {L.dim}")
@@ -445,14 +448,16 @@ def quotient(L: LieAlgebra, ideal: Subspace) -> LieAlgebra:
                 )
     keep = [c for c in range(L.dim) if c not in ideal.pivots]
     pos = {c: t for t, c in enumerate(keep)}
-    brackets: dict[tuple[int, int], Combo] = {}
+    residues = {}
     for (p, q), combo in L._num.items():
         if p in pos and q in pos:
             s, w = ideal._residue(combo)
             if w:
-                brackets[(pos[p], pos[q])] = {pos[c]: Fraction(v, s * L.den) for c, v in w.items()}
+                residues[(pos[p], pos[q])] = s, w
+    S = math.lcm(*(s for s, _ in residues.values()))
+    num = {pair: {pos[c]: v * (S // s) for c, v in w.items()} for pair, (s, w) in residues.items()}
     labels = [L.basis_labels[c] for c in keep]
-    return LieAlgebra(f"{L.name}/I", labels, brackets, check=False)
+    return LieAlgebra._from_num(f"{L.name}/I", labels, S * L.den, num)
 
 
 def recognize_derived_dim_one(L: LieAlgebra) -> tuple[int, int]:
@@ -494,15 +499,16 @@ def random_basis_change(L: LieAlgebra, rng: random.Random, name: str | None = No
             break
     a = math.lcm(*(r[min(r)] for r in inv))
     Q = [{c - n: v * (a // r[min(r)]) for c, v in r.items() if c >= n} for r in inv]  # a·P⁻¹
-    brackets = {}
+    num = {}
     for i in range(n):
         for j in range(i + 1, n):
             combo: IntRow = {}
             for t, v in L._ibracket(P[i], P[j]).items():
                 for k, q in Q[t].items():
                     combo[k] = combo.get(k, 0) + v * q
-            brackets[(i, j)] = {k: Fraction(v, a * L.den) for k, v in combo.items()}
-    return LieAlgebra(name or f"{L.name}~", [f"b{i + 1}" for i in range(n)], brackets, check=False)
+            if combo := {k: v for k, v in combo.items() if v}:
+                num[(i, j)] = combo  # a·den·[P[i], P[j]] in the new basis
+    return LieAlgebra._from_num(name or f"{L.name}~", [f"b{i + 1}" for i in range(n)], a * L.den, num)
 
 
 # --- JSON serialisation ----------------------------------------------------
@@ -556,7 +562,7 @@ def from_json_dict(obj) -> LieAlgebra:
         raise ValidationError(f"field 'basis' has {len(basis)} labels, 'dim' is {dim}", "basis")
     if not isinstance(brackets, list):
         raise ValidationError("field 'brackets' must be a list", "brackets")
-    table: dict[tuple[int, int], Combo] = {}
+    table: dict[tuple[int, int], dict[int, tuple[int, int]]] = {}  # p/q as (p, q)
     for t, entry in enumerate(brackets):
         where = f"brackets[{t}]"
         if not isinstance(entry, dict):
@@ -575,7 +581,7 @@ def from_json_dict(obj) -> LieAlgebra:
             raise ValidationError(f"{where}: duplicate pair ({i},{j})", where)
         if not isinstance(value, list):
             raise ValidationError(f"{where}.value must be a list", where)
-        combo: Combo = {}
+        combo: dict[int, tuple[int, int]] = {}
         for pos, pair in enumerate(value):
             vwhere = f"{where}.value[{pos}]"
             if not isinstance(pair, list) or len(pair) != 2:
@@ -590,13 +596,19 @@ def from_json_dict(obj) -> LieAlgebra:
                     f"{vwhere}: coefficient must be an exact rational string like '2' or '-1/3'",
                     vwhere,
                 )
-            f = Fraction(coeff)
-            if f == 0:
+            p, _, q = coeff.partition("/")
+            p, q = int(p), int(q or 1)
+            if p == 0:
                 raise ValidationError(f"{vwhere}: zero coefficients must be omitted", vwhere)
-            combo[k] = f
+            combo[k] = p, q
         if combo:
             table[(i, j)] = combo
-    return LieAlgebra(name, basis, table, check=True)
+    # over the lcm of the denominators as written; _from_num lowers it
+    den = math.lcm(*(q for combo in table.values() for _, q in combo.values()))
+    num = {pair: {k: p * (den // q) for k, (p, q) in combo.items()} for pair, combo in table.items()}
+    L = LieAlgebra._from_num(name, basis, den, num)
+    L._check_jacobi()
+    return L
 
 
 def loads(text: str) -> LieAlgebra:

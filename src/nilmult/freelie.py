@@ -339,13 +339,18 @@ def clear_caches() -> None:
     _shared.clear()
 
 
-def _check_dim_cap(d: int, c: int, dim: int, dim_cap: int) -> None:
+def _check_dim_cap(d: int, c: int, dim_cap: int) -> None:
     """The one cost guard: refuse a free algebra of rank d and class c whose
-    dimension ``dim`` exceeds ``dim_cap``, whether it is built or memoised."""
-    if dim > dim_cap:
-        raise DimensionCapError(
-            f"free nilpotent algebra of rank {d} and class {c} has dimension {dim}, cap is {dim_cap}"
-        )
+    dimension, a Witt sum, exceeds ``dim_cap``, built or memoised.  The sum
+    stops at the first stratum that takes it past the cap."""
+    dim = 0
+    for n in range(1, c + 1):
+        dim += witt(d, n)
+        if dim > dim_cap:
+            at_least = "at least " if n < c else ""
+            raise DimensionCapError(
+                f"free nilpotent algebra of rank {d} and class {c} has dimension {at_least}{dim}, cap is {dim_cap}"
+            )
 
 
 def free_nilpotent(d: int, c: int, dim_cap: int = DIM_CAP) -> FreeNilpotentAlgebra:
@@ -356,7 +361,7 @@ def free_nilpotent(d: int, c: int, dim_cap: int = DIM_CAP) -> FreeNilpotentAlgeb
     """
     if d < 0 or c < 1:
         raise ValueError("free_nilpotent requires d >= 0 and c >= 1")
-    _check_dim_cap(d, c, sum(witt(d, n) for n in range(1, c + 1)), dim_cap)
+    _check_dim_cap(d, c, dim_cap)
     return _memoised((d, c), lambda: FreeNilpotentAlgebra(d, c))
 
 

@@ -243,7 +243,8 @@ def present(L: LieAlgebra, c: int, *, dim_cap: int = DIM_CAP) -> Presentation:
     # refuses is checked after this touch, so it keeps that order too
     F = pres.ambient
     _memoised((F.rank, F.nilpotency_class), lambda: F)
-    _check_dim_cap(F.rank, F.nilpotency_class, F.dim, dim_cap)
+    if F.dim > dim_cap:  # F.dim is the Witt sum, so the check refuses
+        _check_dim_cap(F.rank, F.nilpotency_class, dim_cap)
     return pres
 
 

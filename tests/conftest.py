@@ -1,4 +1,8 @@
-"""Shared fixtures: the verification corpus and a couple of staple algebras."""
+"""Shared fixtures: the verification corpus, a couple of staple algebras and
+a recorder of the ``Fraction``s a block of code builds."""
+
+import contextlib
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +15,26 @@ def fresh_memo():
     """Start every test module with an empty memo, so that no result
     depends on what earlier modules left in it."""
     nilmult.clear_caches()
+
+
+@pytest.fixture()
+def fractions_built(monkeypatch):
+    """A context manager yielding the list of the argument tuples of every
+    ``Fraction`` built inside its block."""
+
+    @contextlib.contextmanager
+    def recording():
+        built, fraction_new = [], Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return fraction_new(cls, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Fraction, "__new__", staticmethod(counting))
+            yield built
+
+    return recording
 
 
 @pytest.fixture(scope="session")

@@ -24,6 +24,10 @@ reaches the same numbers by a structurally different route:
   the generator images of ``present``, and the ``upper_centrals`` loop.
   They read an algebra only through ``bracket_basis``; the last three still
   solve with nilmult's elimination engine, which has tests of its own.
+  ``int_row`` clears a rational vector to its primitive integer row by
+  Fractions, the reference for ``exactlin._cleared``, and ``unchecked``
+  builds an algebra on a rational table without the Jacobi check, for the
+  tests that hand a broken table to the references.
 * ``epicenter_by_upper_centrals`` is the epicenter from Z_c of the whole
   of F/[R, F, ..., F], which the solve on a basis of L replaced; it takes
   Z_c with the ``Fraction`` ad-row loop above.
@@ -359,7 +363,7 @@ def random_lift(L, rng) -> list[dict[int, Fraction]]:
     """A random minimal generating lift of L: the default lift (the
     coordinates off the pivots of L²) plus small noise, redrawn until it
     still spans L modulo L²."""
-    from nilmult.exactlin import _int_row, _Spanner
+    from nilmult.exactlin import _Spanner
     from nilmult.fdlie import nilpotent_series
 
     derived = nilpotent_series(L).gamma(2)
@@ -374,7 +378,7 @@ def random_lift(L, rng) -> list[dict[int, Fraction]]:
                     v[col] = Fraction(coeff)
             vectors.append(v)
         sp = _Spanner()
-        if all(sp.insert(_int_row(derived.reduce(v))) for v in vectors):
+        if all(sp.insert(int_row(derived.reduce(v))) for v in vectors):
             return vectors
 
 
@@ -447,6 +451,34 @@ def jacobi_failure_by_brackets(L):
 
 # ---------------------------------------------------------------------------
 # Rational references for the integer structure-constant table
+
+
+def int_row(vec) -> dict[int, int]:
+    """The primitive integer row of a mapping or sequence of rationals, its
+    leading entry positive: the vector scaled by a rational, by Fractions."""
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    frac = {c: Fraction(v) for c, v in items if v}
+    if not frac:
+        return {}
+    den = math.lcm(*(f.denominator for f in frac.values()))
+    ints = {c: int(f * den) for c, f in frac.items()}
+    g = math.gcd(*ints.values())
+    if ints[min(ints)] < 0:
+        g = -g
+    return {c: v // g for c, v in ints.items()}
+
+
+def unchecked(name, labels, table):
+    """An algebra on a rational bracket table {(i, j): {k: value}}, i < j,
+    built without the checks of ``LieAlgebra``: zero entries and empty
+    pairs are dropped and the values cleared of denominators by hand."""
+    from nilmult.fdlie import LieAlgebra
+
+    rows = {pair: {k: Fraction(v) for k, v in combo.items() if v} for pair, combo in table.items()}
+    rows = {pair: combo for pair, combo in rows.items() if combo}
+    den = math.lcm(*(v.denominator for combo in rows.values() for v in combo.values()))
+    num = {pair: {k: int(v * den) for k, v in combo.items()} for pair, combo in rows.items()}
+    return LieAlgebra._from_num(name, labels, den, num)
 
 
 def fraction_table(L) -> dict[tuple[int, int], dict[int, Fraction]]:
@@ -536,8 +568,6 @@ def relift(L, lift):
     the lift vectors: a presentation of it is the presentation of L whose
     generators map to ``lift``.  The basis change is inverted in Fractions.
     """
-    from nilmult.fdlie import LieAlgebra
-
     basis = lift_basis(L, lift)
     n = L.dim
     P = [[v.get(j, Fraction(0)) for j in range(n)] for v in basis]
@@ -545,7 +575,7 @@ def relift(L, lift):
     if Pinv is None:
         raise ValueError("lift is not a basis of L modulo L²")
     table = _table_in_basis(L, P, Pinv)
-    return LieAlgebra(f"{L.name}@lift", [f"b{i + 1}" for i in range(n)], table, check=False)
+    return unchecked(f"{L.name}@lift", [f"b{i + 1}" for i in range(n)], table)
 
 
 def _table_in_basis(L, P, Pinv) -> dict[tuple[int, int], dict[int, Fraction]]:
@@ -589,7 +619,7 @@ def present_by_fractions(L, c: int, lift=None):
     Fraction bracket of its factors' images; the relations are the kernel of
     the resulting map onto L.
     """
-    from nilmult.exactlin import Subspace, _int_row, _kernel_rows, _Spanner
+    from nilmult.exactlin import Subspace, _kernel_rows, _Spanner
     from nilmult.freelie import free_nilpotent
 
     table = fraction_table(L)
@@ -611,13 +641,13 @@ def present_by_fractions(L, c: int, lift=None):
             images.append(fraction_bracket(table, images[w.left.key], images[w.right.key]))
     sp = _Spanner()
     for r in range(L.dim):
-        sp.insert(_int_row({col: img[r] for col, img in enumerate(images) if r in img}))
+        sp.insert(int_row({col: img[r] for col, img in enumerate(images) if r in img}))
     return Subspace._from_rows(F.dim, _kernel_rows(F.dim, sp.canonical())), images
 
 
 def upper_centrals_by_fractions(n: int, entries, steps=None):
     """Z_1, Z_2, ... of an n-dim bracket table, with Fraction ad-rows."""
-    from nilmult.exactlin import Subspace, _int_row, _kernel_rows, _Spanner
+    from nilmult.exactlin import Subspace, _kernel_rows, _Spanner
 
     adrows: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i, j, combo in entries:
@@ -628,7 +658,7 @@ def upper_centrals_by_fractions(n: int, entries, steps=None):
     chain = []
     sp = _Spanner()
     for row in adrows.values():
-        sp.insert(_int_row(row))
+        sp.insert(int_row(row))
     while True:
         constraints = sp.canonical()
         Z = Subspace._from_rows(n, _kernel_rows(n, constraints))
@@ -646,7 +676,7 @@ def upper_centrals_by_fractions(n: int, entries, steps=None):
                 for k, mk in m.items():
                     for i, c in adrows.get((k, j), {}).items():
                         row[i] = row.get(i, 0) + mk * c
-                sp.insert(_int_row(row))
+                sp.insert(int_row(row))
     while steps is not None and len(chain) < steps:
         chain.append(chain[-1])
     return chain

@@ -101,10 +101,31 @@ class TestWittHall:
         code, out, err = run(capsys, "hall", "--generators", "40", "--class", "8")
         assert code == 2
         assert out == ""
+        # the Witt sum stops at class 3, the first stratum past the cap
         assert err == (
-            "error: free nilpotent algebra of rank 40 and class 8 has dimension "
-            f"{sum(freelie.witt(40, n) for n in range(1, 9))}, cap is 5000\n"
+            "error: free nilpotent algebra of rank 40 and class 8 has dimension at least "
+            f"{sum(freelie.witt(40, n) for n in range(1, 4))}, cap is 5000\n"
         )
+
+    def test_huge_class_is_refused_after_few_strata(self, capsys, monkeypatch, h1_file):
+        # the Witt sum stops at the first stratum past the cap, so a class of
+        # a million costs a handful of Witt numbers, not a million of them
+        witt, calls = freelie.witt, []
+
+        def counted(d, n):
+            calls.append(n)
+            if len(calls) > 50:
+                raise AssertionError("the Witt sum ran past the cap")
+            return witt(d, n)
+
+        monkeypatch.setattr(freelie, "witt", counted)
+        for argv in (["multiplier", h1_file, "--c", "1000000"], ["hall", "--generators", "2", "--class", "1000000"]):
+            calls.clear()
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: free nilpotent algebra of rank 2 and class 100000")
+            assert err.endswith(f"has dimension at least {sum(witt(2, n) for n in calls)}, cap is 5000\n")
 
 
 class TestMake:

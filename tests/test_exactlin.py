@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from nilmult import exactlin
 from nilmult.exactlin import ContainmentError, Subspace, _as_fraction, _kernel_of_map, _kernel_rows, _Spanner
 from nilmult.fdlie import from_free_nilpotent, heisenberg, random_basis_change, upper_centrals
 from nilmult.freelie import free_nilpotent
@@ -403,6 +404,37 @@ class TestSubspaceBasics:
         assert Subspace.full(3).rank == 3
         assert Subspace.zero(3).rank == 0
         assert Subspace.full(0).rank == 0
+
+
+class TestExactInput:
+    def test_one_check_matches_fraction_reference(self, monkeypatch):
+        # the constructor and reduce read each vector through _cleared
+        cleared, calls = exactlin._cleared, []
+        monkeypatch.setattr(exactlin, "_cleared", lambda vec, n: calls.append(n) or cleared(vec, n))
+        rng = random.Random(19)
+
+        def draw(n):
+            values = [0, F(0), 1, -3, F(2, 3), F(-5, 4), F(7, 6), F(4, 2)]
+            vec = {c: rng.choice(values) for c in rng.sample(range(n), rng.randint(0, n))}
+            return vec if rng.random() < 0.5 else [vec.get(c, 0) for c in range(n)]
+
+        def as_dict(vec):
+            return dict(vec) if isinstance(vec, dict) else dict(enumerate(vec))
+
+        for _ in range(80):
+            n = rng.randint(1, 6)
+            vectors = [draw(n) for _ in range(rng.randint(0, 4))]
+            calls.clear()
+            S = Subspace(n, vectors)
+            assert calls == [n] * len(vectors)
+            want = oracles.rref_by_fractions([as_dict(v) for v in vectors], n)
+            assert list(S.rational_rows()) == want
+            assert S.integer_rows() == tuple(oracles.int_row(row) for row in want)
+            for _ in range(3):
+                v = draw(n)
+                calls.clear()
+                assert S.reduce(v) == oracles.reduce_by_every_pivot(S, v)
+                assert calls == [n]
 
 
 class TestBoolRefused:

@@ -419,6 +419,39 @@ class TestIntegerTable:
         assert list(back.entries()) == list(L.entries())
         assert dumps(back) == text
 
+    def test_constructions_make_no_fraction(self, fractions_built):
+        mixed = self.mixed()
+        with fractions_built() as built:
+            N = from_free_nilpotent(freelie.FreeNilpotentAlgebra(2, 4))
+            moved = random_basis_change(mixed, random.Random(5))
+            summed = direct_sum(moved, N)
+            cut = quotient(summed, series(summed).gamma(3))
+        assert built == []
+        assert (N.den, moved.den > 1, summed.den > 1, cut.den > 1) == (1, True, True, True)
+
+    def test_constructions_store_the_least_denominator(self):
+        # [x, y] = 2z/3 modulo the central line 2z + u, where z = -u/2, is
+        # -u/3: the residue's scale 2 times den 3 shares a 2 with the
+        # numerator -2, and the stored denominator is 3, not 6
+        t = direct_sum(LieAlgebra("t", ("x", "y", "z"), {(0, 1): {2: F(2, 3)}}), abelian(1))
+        line = Subspace(4, [{2: 2, 3: 1}])
+        cut = quotient(t, line)
+        assert line.integer_rows() == ({2: 2, 3: 1},)
+        assert (cut.den, list(cut.entries())) == (3, [(0, 1, {2: F(-1, 3)})])
+        moved = random_basis_change(self.mixed(), random.Random(5))
+        built = [
+            cut,
+            moved,
+            quotient(moved, series(moved).gamma(3)),
+            direct_sum(moved, random_basis_change(heisenberg(1), random.Random(6))),
+        ]
+        for L in built:
+            assert L.den > 1
+            text = dumps(L)
+            twins = [loads(text), LieAlgebra(L.name, L.basis_labels, {(i, j): c for i, j, c in L.entries()})]
+            for twin in twins:
+                assert (twin.fingerprint, dumps(twin)) == (L.fingerprint, text)
+
     def test_integer_table_is_read_as_ints(self, monkeypatch):
         # an integer table makes no Fraction on its way into the algebra
         made, as_fraction = [], fdlie._as_fraction
@@ -479,7 +512,7 @@ class TestIntegerTable:
                 combo = table.setdefault((i, j), {})
                 k = rng.randrange(L.dim)
                 combo[k] = combo.get(k, 0) + F(rng.choice((-1, 1)), rng.randint(1, 3))
-            expected = oracles.jacobi_failure_by_full_scan(LieAlgebra("p", L.basis_labels, table, check=False))
+            expected = oracles.jacobi_failure_by_full_scan(oracles.unchecked("p", L.basis_labels, table))
             if expected is None:
                 LieAlgebra("p", L.basis_labels, table)
                 continue
@@ -534,7 +567,7 @@ class TestIntegerTable:
             tables.append([(i, j, {k: 2 for k in combo}) for i, j, combo in moved.entries()])
             for entries in tables:
                 brackets = {(i, j): combo for i, j, combo in entries}
-                table = LieAlgebra("t", moved.basis_labels, brackets, check=False)
+                table = oracles.unchecked("t", moved.basis_labels, brackets)
                 rep = series(table)
                 assert list(rep.upper) == oracles.upper_centrals_by_fractions(moved.dim, entries)
                 for steps in (1, 2, 3):
@@ -646,7 +679,7 @@ class TestJacobiParity:
                 combo = table.setdefault((i, j), {})
                 k = rng.randrange(L.dim)
                 combo[k] = combo.get(k, 0) + F(rng.choice((-1, 1)), rng.randint(1, 3))
-            expected = oracles.jacobi_failure_by_brackets(LieAlgebra("p", L.basis_labels, table, check=False))
+            expected = oracles.jacobi_failure_by_brackets(oracles.unchecked("p", L.basis_labels, table))
             if expected is None:
                 LieAlgebra("p", L.basis_labels, table)
                 continue

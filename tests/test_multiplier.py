@@ -722,28 +722,20 @@ class TestClosureMemo:
 
     @pytest.mark.parametrize("c", [1, 2])
     @pytest.mark.parametrize("shape", ["H(2)", "H(1)+A(2)", "N(2,4)"])
-    def test_report_builds_no_fraction(self, monkeypatch, shape, c):
-        # report runs on integers from the loaded table to the verdicts
+    def test_report_builds_no_fraction(self, fractions_built, shape, c):
+        # loads and report run on integers from the JSON text to the verdicts
         L = {
             "H(2)": heisenberg(2),
             "H(1)+A(2)": direct_sum(heisenberg(1), abelian(2)),
             "N(2,4)": fdlie.from_free_nilpotent(FreeNilpotentAlgebra(2, 4), "N(2,4)"),
         }[shape]
-        moved = fdlie.loads(fdlie.dumps(fdlie.random_basis_change(L, random.Random(11))))
-        assert moved.den > 1
-        built = []
-        fraction_new = Fraction.__new__
-
-        def counting(cls, *args, **kwargs):
-            built.append(args)
-            return fraction_new(cls, *args, **kwargs)
-
+        text = fdlie.dumps(fdlie.random_basis_change(L, random.Random(11)))
         clear_caches()
-        with monkeypatch.context() as patch:
-            patch.setattr(Fraction, "__new__", staticmethod(counting))
+        with fractions_built() as built:
+            moved = fdlie.loads(text)
             out = report(moved, c)
         clear_caches()
-        assert built == []
+        assert built == [] and moved.den > 1
         assert out["dim_multiplier"] == nilpotent_multiplier(L, c).dimension
 
     def test_hashed_key(self):

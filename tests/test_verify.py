@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import nilmult
 import oracles
 from nilmult import verify
 from nilmult.fdlie import direct_sum, from_free_nilpotent, heisenberg, random_basis_change, series
@@ -35,6 +36,15 @@ class TestCaseList:
         full = run_cases()
         assert 0 < len(small) < len(full)
         assert all(c.status == "pass" for c in small)
+
+    def test_run_cases_builds_no_fraction(self, fractions_built):
+        # the quotients and direct sums of the checks stay on integers
+        nilmult.clear_caches()
+        with fractions_built() as built:
+            cases = run_cases()
+        nilmult.clear_caches()
+        assert built == []
+        assert all(c.status == "pass" for c in cases)
 
     def test_limits_validated(self):
         with pytest.raises(ValueError):
