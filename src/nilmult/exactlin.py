@@ -20,10 +20,12 @@ null space of that map is read off the reduced constraint rows.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING
 
-Coeff = int | Fraction
+if TYPE_CHECKING:  # fractions is imported where a Fraction is built or checked
+    from fractions import Fraction
+
 IntRow = dict[int, int]  # sparse row, no explicit zeros
 
 
@@ -38,6 +40,8 @@ class ContainmentError(ValueError):
 
 def _as_fraction(x) -> Fraction:
     """``x`` as a Fraction; a bool is refused, not read as 0 or 1."""
+    from fractions import Fraction
+
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
@@ -71,12 +75,12 @@ def _cleared(vec, n: int) -> tuple[int, IntRow]:
     the lcm of its denominators.  The one check of outside input: it refuses
     a bool index, a value not an int or a ``Fraction``, or a non-zero entry
     off 0..n-1."""
-    v: dict[int, Coeff] = {}
+    v: dict[int, int | Fraction] = {}
     den = 1
     for c, x in vec.items() if isinstance(vec, Mapping) else enumerate(vec):
         if c is True or c is False:
             raise TypeError(f"vector index {c!r} is a bool, not an int")
-        if type(x) is not int and not isinstance(x, Fraction):
+        if type(x) is not int:
             _as_fraction(x)  # raises TypeError unless x is exact; a bool is not
         if x:
             if not 0 <= c < n:
@@ -269,6 +273,8 @@ class Subspace:
         return self._rows
 
     def rational_rows(self) -> Iterator[dict[int, Fraction]]:
+        from fractions import Fraction
+
         for r in self._rows:
             piv = r[min(r)]
             yield {c: Fraction(v, piv) for c, v in r.items()}
@@ -286,6 +292,8 @@ class Subspace:
         clears ``vector`` to the integer row den·vector, and (s, w) =
         ``_residue`` of that row gives the residual w / (s · den).
         """
+        from fractions import Fraction
+
         den, row = _cleared(vector, self.ambient_dim)
         s, w = self._residue(row)
         s *= den

@@ -15,14 +15,17 @@ import math
 import random
 import re
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
+from typing import TYPE_CHECKING
 
+from ._record import Record
 from .exactlin import IntRow, Subspace, _Spanner, _as_fraction, _kernel_of_map
 from .freelie import FreeNilpotentAlgebra, HashedKey, table_bracket
 
-Combo = dict[int, Fraction]
+if TYPE_CHECKING:  # fractions is imported where a Fraction is built
+    from fractions import Fraction
+
+    Combo = dict[int, Fraction]
 
 
 class ValidationError(ValueError):
@@ -121,6 +124,8 @@ class LieAlgebra:
 
     def bracket_vectors(self, x: Mapping[int, object], y: Mapping[int, object]) -> Combo:
         """[x, y] for sparse rational vectors."""
+        from fractions import Fraction
+
         return {k: Fraction(v, self.den) for k, v in self._ibracket(x, y).items()}
 
     def bracket_basis(self, i: int, j: int) -> Combo:
@@ -129,6 +134,8 @@ class LieAlgebra:
 
     def entries(self):
         """Iterate (i, j, combo) over stored pairs, i < j, in sorted order."""
+        from fractions import Fraction
+
         for (i, j), combo in self._num.items():
             yield i, j, {k: Fraction(v, self.den) for k, v in combo.items()}
 
@@ -251,18 +258,18 @@ def from_free_nilpotent(F: FreeNilpotentAlgebra, name: str | None = None) -> Lie
     return LieAlgebra._from_num(name, labels, 1, F.products())
 
 
-@dataclass(frozen=True)
-class SeriesReport:
+class SeriesReport(Record):
     """Lower and upper central series, each listed until stabilisation.
 
-    The lower series is computed once per algebra and kept on it; the upper
-    series is computed on first access, since most callers read only the
-    lower one.
+    ``lower`` holds γ₁, γ₂, … (the last term repeated no further),
+    ``nilpotency_class`` is None for a non-nilpotent algebra, and
+    ``algebra`` is left out of the repr and the comparison.  The lower
+    series is computed once per algebra and kept on it; the upper series is
+    computed on first access, since most callers read only the lower one.
     """
 
-    lower: tuple[Subspace, ...]  # γ₁, γ₂, … (last term repeated no further)
-    nilpotency_class: int | None
-    algebra: LieAlgebra = field(repr=False, compare=False)
+    __slots__ = ("lower", "nilpotency_class", "algebra", "__dict__")
+    _hidden = ("algebra",)
 
     @cached_property
     def upper(self) -> tuple[Subspace, ...]:

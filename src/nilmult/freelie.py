@@ -74,32 +74,32 @@ class HallWord:
     """A node of the Hall basis: a generator leaf or a bracket of two words.
 
     ``key`` is the word's position in the overall basis order, assigned at
-    construction time; comparisons use it directly.
+    construction time; comparisons use it directly.  A generator's text is
+    its label; a bracket's is made on its first ``str()`` and kept.
     """
 
-    __slots__ = ("gen", "left", "right", "length", "key", "_labels")
+    __slots__ = ("gen", "left", "right", "length", "key", "_text")
 
-    def __init__(self, gen, left, right, length, key, labels):
+    def __init__(self, gen, left, right, length, key, text=None):
         self.gen = gen
         self.left = left
         self.right = right
         self.length = length
         self.key = key
-        self._labels = labels
+        self._text = text
 
     @property
     def is_generator(self) -> bool:
         return self.gen is not None
 
-    def _items(self) -> list[str]:
-        if self.is_generator:
-            return [self._labels[self.gen]]
-        return self.left._items() + [str(self.right)]
-
     def __str__(self):
-        if self.is_generator:
-            return self._labels[self.gen]
-        return "[" + ",".join(self._items()) + "]"
+        text = self._text
+        if text is None:
+            # left-normed: [[a,b],c] reads [a,b,c], so a bracket on the left
+            # gives its items, not itself
+            left = str(self.left)
+            text = self._text = f"[{left if self.left.is_generator else left[1:-1]},{self.right}]"
+        return text
 
     def __repr__(self):
         return f"HallWord({self})"
@@ -114,30 +114,40 @@ def generator_labels(d: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(d))
 
 
+def _hall_pairs(strata: Sequence[Sequence[HallWord]], length: int) -> list[tuple[HallWord, HallWord]]:
+    """The Hall pairs (u, v) whose bracket has the given length, sorted by
+    the keys of u, then v; ``strata[n]`` holds the words of length n."""
+    pairs = []
+    for a in range(1, length):
+        for u in strata[a]:
+            for v in strata[length - a]:
+                if u.key <= v.key:
+                    continue
+                if u.gen is None and v.key < u.right.key:
+                    continue
+                pairs.append((u, v))
+    pairs.sort(key=lambda uv: (uv[0].key, uv[1].key))
+    return pairs
+
+
 def hall_basis(d: int, c: int) -> list[HallWord]:
-    """All Hall words of length <= c on d generators, in basis order."""
+    """All Hall words of length <= c on d generators, in basis order.
+
+    An empty stratum past length 1 means d <= 1, where every longer stratum
+    is empty too, so the build stops there whatever c is.
+    """
     if d < 0 or c < 1:
         raise ValueError("hall_basis requires d >= 0 and c >= 1")
-    labels = generator_labels(d)
-    words: list[HallWord] = [HallWord(i, None, None, 1, i, labels) for i in range(d)]
+    words: list[HallWord] = [HallWord(i, None, None, 1, i, label) for i, label in enumerate(generator_labels(d))]
     strata: list[list[HallWord]] = [[], list(words)]
     for length in range(2, c + 1):
-        candidates = []
-        for a in range(1, length):
-            b = length - a
-            for u in strata[a]:
-                for v in strata[b]:
-                    if u.key <= v.key:
-                        continue
-                    if u.gen is None and v.key < u.right.key:
-                        continue
-                    candidates.append((u, v))
-        candidates.sort(key=lambda uv: (uv[0].key, uv[1].key))
         stratum = []
-        for u, v in candidates:
-            w = HallWord(None, u, v, length, len(words), labels)
+        for u, v in _hall_pairs(strata, length):
+            w = HallWord(None, u, v, length, len(words))
             words.append(w)
             stratum.append(w)
+        if not stratum:
+            break
         strata.append(stratum)
     return words
 
@@ -342,10 +352,14 @@ def clear_caches() -> None:
 def _check_dim_cap(d: int, c: int, dim_cap: int) -> None:
     """The one cost guard: refuse a free algebra of rank d and class c whose
     dimension, a Witt sum, exceeds ``dim_cap``, built or memoised.  The sum
-    stops at the first stratum that takes it past the cap."""
+    stops at the first stratum that takes it past the cap, or at the first
+    empty one past length 1, after which all are empty (d <= 1)."""
     dim = 0
     for n in range(1, c + 1):
-        dim += witt(d, n)
+        count = witt(d, n)
+        if not count and n > 1:
+            return
+        dim += count
         if dim > dim_cap:
             at_least = "at least " if n < c else ""
             raise DimensionCapError(

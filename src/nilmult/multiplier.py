@@ -35,10 +35,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
+from ._record import Record
 from .exactlin import ContainmentError, IntRow, Subspace, _kernel_of_map, _Spanner
 from .fdlie import LieAlgebra, nilpotent_series
 from .freelie import (
@@ -79,26 +78,28 @@ class _Chain:
         return closures[c]
 
 
-@dataclass(frozen=True, eq=False)
-class Presentation:
+class Presentation(Record):
     """Free presentation data for a nilpotent algebra at multiplier weight c.
+
+    The fields: the ambient F(d, k + c); ``short_relations`` R_{≤k}, the
+    kernel on the words of length <= k; the class k of the algebra; c; the
+    algebra; ``images``, den^(k-1) times the image in L of each word of
+    length <= k as an integer row (the longer words map to 0); and
+    ``chain``.  A presentation equals only itself, and its repr leaves out
+    ``images`` and ``chain``.
 
     What is derived from it (the closure, the multiplier, the epicenter) is
     computed on first read and lives as long as the presentation does; the
     closure comes from ``chain``, shared by the algebra's presentations.
     """
 
-    ambient: FreeNilpotentAlgebra
-    short_relations: Subspace  # R_{≤k}: the kernel on the words of length <= k
-    k: int  # class of the algebra
-    c: int
-    algebra: LieAlgebra
-    # den^(k-1) times the image in L of each word of length <= k, as an
-    # integer row; the longer words map to 0
-    images: tuple[IntRow, ...] = field(repr=False)
-    chain: _Chain = field(repr=False)
+    __slots__ = ("ambient", "short_relations", "k", "c", "algebra", "images", "chain", "__dict__")
+    _hidden = ("images", "chain")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         short = self.ambient.stratum_starts[self.k + 1]
         if short - self.short_relations.rank != self.algebra.dim:
             raise PresentationError(
@@ -140,6 +141,8 @@ class Presentation:
         for row in rows[: bisect_left(pivots, block)]:
             low = {j: v for j, v in row.items() if j < short}
             if min(row) < gamma or numerator._residue(low)[1]:
+                from fractions import Fraction
+
                 lead = row[min(row)]
                 raise ContainmentError(
                     f"{self.algebra.name}: a closure row is not in R ∩ γ_{self.c + 1}(F)",
@@ -205,11 +208,10 @@ class Presentation:
         return Z
 
 
-@dataclass(frozen=True)
-class MultiplierReport:
-    c: int
-    dimension: int
-    basis_words: tuple[str, ...]
+class MultiplierReport(Record):
+    """dim M^(c)(L) and a basis of it, a tuple of Hall words as text."""
+
+    __slots__ = ("c", "dimension", "basis_words")
 
 
 def present(L: LieAlgebra, c: int, *, dim_cap: int = DIM_CAP) -> Presentation:
@@ -394,16 +396,12 @@ def refined_bound(n: int, m: int) -> int:
     return _third((n - m) * ((n + 2 * m - 2) * (n - m - 1) + 3 * (m - 1))) + 3
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    algebra: str
-    n: int
-    m: int  # dim L²
-    dim_m2: int
-    dim_l3: int
-    value: int  # dim_m2 + dim_l3
-    eq1: int
-    refined: int | None  # undefined for abelian L
+class BoundReport(Record):
+    """dim M^(2)(L) + dim L³ for L of dimension n (``value``) against the
+    Eq. (1) bound and the refined bound, which is None for abelian L;
+    m = dim L²."""
+
+    __slots__ = ("algebra", "n", "m", "dim_m2", "dim_l3", "value", "eq1", "refined")
 
     @property
     def eq1_slack(self) -> int:

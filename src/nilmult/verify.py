@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
+from ._record import Record
 from .exactlin import Subspace, _primitive
 from .fdlie import LieAlgebra, abelian, direct_sum, heisenberg, quotient, recognize_derived_dim_one, series
 from .freelie import hall_basis, witt
@@ -22,13 +22,11 @@ _SEED = 97
 _EXTRA_CENTRAL_LINES = 3
 
 
-@dataclass(frozen=True)
-class VerifyCase:
-    id: str
-    description: str
-    provenance: str
-    expected: object
-    computed: object
+class VerifyCase(Record):
+    """One pinned claim: its id, what it says, where the paper says it,
+    and the expected and computed values."""
+
+    __slots__ = ("id", "description", "provenance", "expected", "computed")
 
     @property
     def status(self) -> str:

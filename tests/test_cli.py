@@ -1,11 +1,15 @@
 """Command-line surface: every subcommand, both output modes, exit codes."""
 
+import ast
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from nilmult import cli, fdlie, freelie, verify
+from nilmult import cli, fdlie, freelie, multiplier, verify
 from nilmult.verify import VerifyCase
 
 
@@ -126,6 +130,52 @@ class TestWittHall:
             assert out == ""
             assert err.startswith("error: free nilpotent algebra of rank 2 and class 100000")
             assert err.endswith(f"has dimension at least {sum(witt(2, n) for n in calls)}, cap is 5000\n")
+
+    def test_rank_at_most_one_stops_after_the_first_empty_stratum(self, capsys, monkeypatch):
+        # for d <= 1 every stratum past length 1 is empty, so neither the Witt
+        # sum of the cap check nor the Hall basis runs on to the class
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(args)
+                if len(calls) > 50:
+                    raise AssertionError("ran on past the first empty stratum")
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(freelie, "witt", counted(freelie.witt))
+        monkeypatch.setattr(freelie, "_hall_pairs", counted(freelie._hall_pairs))
+        for d, words in ((1, ["x1"]), (0, [])):
+            calls.clear()
+            code, out, err = run(capsys, "hall", "--generators", str(d), "--class", "1000000", "--json")
+            assert (code, err) == (0, "")
+            assert json.loads(out) == {"generators": d, "class": 1000000, "dim": len(words), "words": words}
+
+
+class TestColdStart:
+    def test_cli_imports_only_what_the_command_runs(self, h4_file):
+        # a fresh isolated interpreter: what `import nilmult.cli` and one
+        # multiplier call add to sys.modules
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "before = set(sys.modules)\n"
+            "import nilmult.cli\n"
+            f"code = nilmult.cli.main(['multiplier', {h4_file!r}, '--c', '2', '--json'])\n"
+            "print(sorted(set(sys.modules) - before))\n"
+            "print(code)\n"
+        )
+        proc = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        *report, added, code = proc.stdout.splitlines()
+        assert code == "0"
+        assert json.loads("\n".join(report))["dim_multiplier"] == multiplier.heisenberg_m2(4)
+        added = set(ast.literal_eval(added))
+        assert added.isdisjoint({"dataclasses", "inspect", "fractions", "decimal"}), sorted(added)
+        # the CLI imports verify up front, so every subcommand sees the same modules
+        assert "nilmult.verify" in added
 
 
 class TestMake:

@@ -91,6 +91,38 @@ class TestHallBasis:
         for i, w in enumerate(words):
             assert w.key == i
 
+    def test_text_is_kept_after_the_first_str(self):
+        def spelled(w):
+            # the left-normed text, from the word's tree alone
+            items, u = [], w
+            while not u.is_generator:
+                items.append(spelled(u.right))
+                u = u.left
+            items.append(generator_labels(3)[u.gen])
+            return items[0] if len(items) == 1 else "[" + ",".join(reversed(items)) + "]"
+
+        words = hall_basis(3, 5)
+        # read longest first, so no bracket finds its factors' text made
+        texts = [str(w) for w in reversed(words)][::-1]
+        assert texts == [spelled(w) for w in words]
+        assert all(str(w) is text for w, text in zip(words, texts))
+        assert repr(words[-1]) == f"HallWord({texts[-1]})"
+
+    def test_rank_at_most_one_stops_at_the_first_empty_stratum(self, monkeypatch):
+        pairs, lengths = freelie._hall_pairs, []
+
+        def counted(strata, length):
+            lengths.append(length)
+            if len(lengths) > 5:
+                raise AssertionError("hall_basis ran on past an empty stratum")
+            return pairs(strata, length)
+
+        monkeypatch.setattr(freelie, "_hall_pairs", counted)
+        for d in (0, 1):
+            lengths.clear()
+            assert [str(w) for w in hall_basis(d, 10**9)] == list(generator_labels(d))
+            assert lengths == [2]
+
     def test_labels(self):
         assert generator_labels(2) == ("x", "y")
         assert generator_labels(3) == ("x1", "x2", "x3")
