@@ -5,9 +5,10 @@ cleared of denominators and divided by the gcd of its entries, which is
 equivalent to rational Gauss-Jordan elimination but avoids per-entry
 ``Fraction`` normalisation in the inner loops.  A ``Subspace`` is stored as
 the unique fully reduced (canonical) basis of such rows inside a fixed
-ambient coordinate space, so equal subspaces compare equal structurally, and
-it keeps a pivot -> row index so that reducing a vector touches only the
-pivots the vector hits.  Reduction stays on integers: the residue of an
+ambient coordinate space, so equal subspaces compare equal structurally; the
+``_Spanner`` that builds one keeps its rows in that form after every insert.
+One routine, ``_reduce``, reduces a row against such rows for both, touching
+only the pivots the row hits.  It stays on integers: the residue of an
 integer row is a scale s and s times its residual, and ``Subspace.reduce``
 is the ``Fraction`` view of it.
 
@@ -92,8 +93,33 @@ def _cleared(vec, n: int) -> tuple[int, IntRow]:
     return den, {c: x.numerator * (den // x.denominator) for c, x in v.items()}
 
 
+def _reduce(row: Mapping[int, int], by_pivot: Mapping[int, IntRow]) -> tuple[int, IntRow]:
+    """The integer residue (s, s·(row mod S)) of a sparse integer row, S the
+    span of the fully reduced rows ``by_pivot`` (pivot -> row).  s is the lcm
+    of the pivot entries ``row`` hits, so the residue stays on integers; it
+    is supported off the pivots, and empty iff ``row`` lies in S.  Clearing
+    one pivot never creates another, so the cost scales with the pivots the
+    row hits, not with the rank of S."""
+    hit = [c for c in row if c in by_pivot]
+    scale = 1
+    for p in hit:
+        a = by_pivot[p][p]
+        scale = scale * a // math.gcd(scale, a)
+    w = dict(row) if scale == 1 else {c: x * scale for c, x in row.items()}
+    for p in hit:
+        basis_row = by_pivot[p]
+        f = w[p] // basis_row[p]
+        for c, rv in basis_row.items():
+            m = w.get(c, 0) - f * rv
+            if m:
+                w[c] = m
+            else:
+                del w[c]
+    return scale, w
+
+
 def _eliminate(v: IntRow, row: IntRow, p: int) -> IntRow:
-    """Return a multiple of v with column p cleared against ``row`` (pivot p)."""
+    """A primitive multiple of v with column p cleared against ``row`` (pivot p)."""
     a, b = row[p], v[p]
     g = math.gcd(a, b)
     a //= g
@@ -112,50 +138,46 @@ def _eliminate(v: IntRow, row: IntRow, p: int) -> IntRow:
 
 
 class _Spanner:
-    """Incremental row space with one stored row per pivot column."""
+    """Incremental row space, canonical after every insert: one primitive
+    row per pivot, positive there and zero at every other pivot.  An insert
+    reduces the row by :func:`_reduce`; an independent remainder then clears
+    its pivot from the stored rows with an entry there, which ``_cols``
+    (non-pivot column -> pivots of the rows with an entry in it) finds."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_cols")
 
     def __init__(self):
         self.rows: dict[int, IntRow] = {}
+        self._cols: dict[int, set[int]] = {}
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
     def insert(self, vec: IntRow) -> bool:
-        """Reduce ``vec`` against the current rows; True iff it was independent.
-
-        Where ``vec`` and a stored row share a leading column, the one with
-        fewer entries stays on that pivot and the other is reduced on, so
-        stored rows fill in more slowly.  The span is the same either way.
-        """
-        rows = self.rows
-        v = vec
-        while v:
-            p = min(v)
-            row = rows.get(p)
-            if row is None:
-                rows[p] = _primitive(dict(v))
-                return True
-            if len(v) < len(row):
-                rows[p] = _primitive(dict(v))
-                v = _eliminate(row, rows[p], p)
-            else:
-                v = _eliminate(v, row, p)
-        return False
+        """Reduce ``vec`` against the current rows; True iff it was independent."""
+        rows, cols = self.rows, self._cols
+        w = _primitive(_reduce(vec, rows)[1])
+        if not w:
+            return False
+        p = min(w)
+        for c in w:
+            if c != p:
+                cols.setdefault(c, set()).add(p)
+        for q in cols.pop(p, ()):
+            old = rows[q]
+            new = rows[q] = _eliminate(old, w, p)
+            for c in w:  # a row changes only on the columns of w
+                if c in new:
+                    cols[c].add(q)
+                elif c != p and c in old:
+                    cols[c].discard(q)
+        rows[p] = w
+        return True
 
     def canonical(self) -> list[IntRow]:
-        """Fully reduced rows (zero above and below every pivot), by pivot."""
-        pivots = sorted(self.rows)
-        done: dict[int, IntRow] = {}
-        for p in reversed(pivots):
-            r = self.rows[p]
-            for q in sorted(c for c in r if c != p and c in self.rows):
-                if q in r:  # may already be cleared by an earlier step
-                    r = _eliminate(r, done[q], q)
-            done[p] = _primitive(r)
-        return [done[p] for p in pivots]
+        """The fully reduced rows, by pivot."""
+        return [self.rows[p] for p in sorted(self.rows)]
 
 
 def _kernel_rows(n: int, canonical_rows: list[IntRow]) -> list[IntRow]:
@@ -194,7 +216,7 @@ def _kernel_of_map(images: Sequence[tuple[int, Mapping[Hashable, int]]]) -> list
     and a sparse integer row over any hashable coordinates, standing for
     row / s_t, as a residue is.  The solve runs on integers in
     y_t = x_t / s_t; each kernel row is scaled back, which keeps a fully
-    reduced row fully reduced.
+    reduced row fully reduced.  No constraint is inserted past full rank.
     """
     scale = []
     constraints: dict[Hashable, IntRow] = {}
@@ -205,7 +227,8 @@ def _kernel_of_map(images: Sequence[tuple[int, Mapping[Hashable, int]]]) -> list
                 constraints.setdefault(col, {})[t] = v
     sp = _Spanner()
     for row in constraints.values():
-        sp.insert(row)
+        if sp.insert(row) and sp.rank == len(images):
+            return []
     kernel = _kernel_rows(len(images), sp.canonical())
     if max(scale, default=1) > 1:
         kernel = [_primitive({t: y * scale[t] for t, y in row.items()}) for row in kernel]
@@ -300,33 +323,9 @@ class Subspace:
         return {c: Fraction(x, s) for c, x in w.items()}
 
     def _residue(self, row: Mapping[int, int]) -> tuple[int, IntRow]:
-        """The integer residue (s, s·(row mod S)) of a sparse integer row.
-
-        s is the lcm of the pivot entries that ``row`` hits, so each basis
-        row is subtracted a whole number of times and the residue stays on
-        integers; it is supported on non-pivot columns only, and empty iff
-        ``row`` is a member.  The rows are mutually reduced, so clearing one
-        pivot never creates another: the cost scales with the pivots the row
-        hits, not with the rank of the subspace.  ``row`` is trusted: its
-        indices lie in the ambient and its values are ints.
-        """
-        by_pivot = self._by_pivot
-        hit = sorted(c for c in row if c in by_pivot)
-        scale = 1
-        for p in hit:
-            a = by_pivot[p][p]
-            scale = scale * a // math.gcd(scale, a)
-        w = dict(row) if scale == 1 else {c: x * scale for c, x in row.items()}
-        for p in hit:
-            basis_row = by_pivot[p]
-            f = w[p] // basis_row[p]
-            for c, rv in basis_row.items():
-                m = w.get(c, 0) - f * rv
-                if m:
-                    w[c] = m
-                else:
-                    del w[c]
-        return scale, w
+        """:func:`_reduce` of ``row`` by this basis.  ``row`` is trusted: its
+        indices lie in the ambient and its values are ints."""
+        return _reduce(row, self._by_pivot)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other)

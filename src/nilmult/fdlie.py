@@ -317,7 +317,6 @@ def _generating_units(L: LieAlgebra, derived: Subspace) -> list[int]:
                 if prod and sp.insert(prod):
                     grown.append(prod)
         frontier = grown
-    # an echelon basis has the same pivot columns as the canonical one
     return units + [j for j in range(n) if j not in sp.rows]
 
 

@@ -70,6 +70,8 @@ class _Chain:
         c = F.nilpotency_class - self.k
         closures = self.closures
         while len(closures) <= c:
+            if closures[-1].is_zero:  # then so is every later C_t: [0, F] = 0
+                return Subspace.zero(F.dim)
             t = len(closures)
             # each smaller ambient fits under any cap that F passed
             ambient = F if t == c else free_nilpotent(self.d, self.k + t, F.dim)

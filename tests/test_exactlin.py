@@ -322,27 +322,42 @@ class TestKernelOfMap:
         # an int value is scaled with the Fraction values of its unknown
         assert kernel([{1: 1, 2: 1}, {1: 1, 2: F(1, 2)}]) == []
 
+    def test_stops_at_full_rank(self, monkeypatch):
+        # the rows of "a" and "c", the first two, pin both unknowns to 0,
+        # so the row of "b" is not inserted
+        inserted = []
+        insert = _Spanner.insert
+        monkeypatch.setattr(_Spanner, "insert", lambda self, v: inserted.append(dict(v)) or insert(self, v))
+        assert _kernel_of_map([(1, {"a": 1, "c": 1}), (1, {"b": 1, "c": 2})]) == []
+        assert inserted == [{0: 1}, {0: 1, 1: 2}]
+
 
 # independent rows over eight columns, then combinations of them
 _row = st.dictionaries(st.integers(0, 7), st.integers(-4, 4).filter(bool), min_size=1, max_size=5)
+
+
+def _rows_and_combinations(data) -> list[dict[int, int]]:
+    """Drawn rows, then integer combinations of them, in a drawn order."""
+    base = data.draw(st.lists(_row, max_size=6))
+    weights = st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base))
+    dependent = []
+    for w in data.draw(st.lists(weights, max_size=4)):
+        combo = {}
+        for x, row in zip(w, base):
+            for c, v in row.items():
+                combo[c] = combo.get(c, 0) + x * v
+        dependent.append({c: v for c, v in combo.items() if v})
+    return data.draw(st.permutations([*base, *dependent]))
 
 
 class TestSpanner:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_any_insertion_order_gives_the_fraction_rref(self, data):
-        base = data.draw(st.lists(_row, max_size=6))
-        weights = st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base))
-        dependent = []
-        for w in data.draw(st.lists(weights, max_size=4)):
-            combo = {}
-            for x, row in zip(w, base):
-                for c, v in row.items():
-                    combo[c] = combo.get(c, 0) + x * v
-            dependent.append({c: v for c, v in combo.items() if v})
-        want = oracles.rref_by_fractions(base, 8)
+        order = _rows_and_combinations(data)
+        want = oracles.rref_by_fractions(order, 8)
         for _ in range(2):
-            order = data.draw(st.permutations([*base, *dependent]))
+            order = data.draw(st.permutations(order))
             copies = [dict(r) for r in order]
             sp = _Spanner()
             for row in copies:
@@ -354,14 +369,25 @@ class TestSpanner:
             assert [{c: F(v, r[min(r)]) for c, v in r.items()} for r in rows] == want
             assert all(r[min(r)] > 0 and math.gcd(*r.values()) == 1 for r in rows)
 
-    def test_shorter_row_takes_the_pivot(self):
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_rows_are_canonical_after_every_insert(self, data):
+        # the stored rows are the RREF of what was inserted so far, and the
+        # one reduction both insert and Subspace._residue run agrees with
+        # the walk over every pivot
+        order = _rows_and_combinations(data)
         sp = _Spanner()
-        sp.insert({0: 1, 1: 1, 2: 1, 3: 1})
-        assert sp.insert({0: 2, 4: 1})
-        # the two-entry row holds pivot 0; the long one is reduced onto pivot 1
-        assert sp.rows[0] == {0: 2, 4: 1}
-        assert min(sp.rows[1]) == 1 and len(sp.rows) == 2
-        assert not sp.insert({0: 1, 1: 1, 2: 1, 3: 1})
+        for t, row in enumerate(order):
+            sp.insert(row)
+            rows = [sp.rows[p] for p in sorted(sp.rows)]
+            assert [{c: F(v, r[min(r)]) for c, v in r.items()} for r in rows] == \
+                oracles.rref_by_fractions(order[: t + 1], 8)
+            assert all(min(r) == p and r[p] > 0 and math.gcd(*r.values()) == 1 for p, r in sp.rows.items())
+            v = data.draw(_row)
+            scale, residue = exactlin._reduce(v, sp.rows)
+            assert scale >= 1 and not set(residue) & set(sp.rows)
+            S = Subspace._from_rows(8, rows)
+            assert {c: F(x, scale) for c, x in residue.items()} == oracles.reduce_by_every_pivot(S, v)
 
 
 class TestSubspaceBasics:

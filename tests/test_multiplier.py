@@ -14,6 +14,7 @@ from nilmult import exactlin, fdlie, freelie, multiplier, verify
 from nilmult.exactlin import ContainmentError, Subspace
 from nilmult.fdlie import LieAlgebra, NotNilpotentError, abelian, direct_sum, heisenberg, series
 from nilmult.freelie import (
+    DIM_CAP,
     MEMO_SIZE,
     DimensionCapError,
     FreeNilpotentAlgebra,
@@ -326,6 +327,29 @@ class TestClosureChain:
                 words = tuple(str(F.basis[p]) for p in numerator.pivots if p not in closed)
                 assert pres.multiplier == multiplier.MultiplierReport(c, dimension, words), (L.name, c)
 
+    @pytest.mark.parametrize("L, c", [(abelian(1), 500), (abelian(3), 3), (heisenberg(1), 3)])
+    def test_zero_chain_builds_no_intermediate_ambient(self, L, c, monkeypatch):
+        # R_{≤k} = 0 gives C_t = 0 at every t, as [0, F] = 0: a query at
+        # weight c asks for F(d, k + c) alone, and at a lower weight for
+        # nothing new
+        clear_caches()
+        asked = []
+
+        def logged(d, cls, dim_cap=DIM_CAP):
+            asked.append((d, cls))
+            return free_nilpotent(d, cls, dim_cap)
+
+        monkeypatch.setattr(multiplier, "free_nilpotent", logged)
+        pres = present(L, c)
+        d, k = pres.ambient.rank, pres.k
+        assert pres.short_relations.is_zero and pres.closure == Subspace.zero(pres.ambient.dim)
+        assert set(asked) == {(d, k + c)}
+        assert present(L, 1).closure.is_zero and present(L, c - 1).closure.is_zero
+        assert set(asked) == {(d, k + c), (d, k + 1), (d, k + c - 1)}
+        # L = F(d, k), so M^(c)(L) is spanned by the words of weight max(k, c) + 1 .. k + c
+        assert pres.multiplier.dimension == sum(witt(d, w) for w in range(max(k, c) + 1, k + c + 1))
+        clear_caches()
+
     def test_closure_outside_the_numerator_raises_with_witness(self):
         # H(1) at c = 2: the generator x is not in γ_3(F); each broken
         # closure is set on a presentation that leaves the memo with it
@@ -348,25 +372,32 @@ class TestClosureChain:
 
 class TestClosureCost:
     def test_random_basis_closure_work(self, monkeypatch):
-        # the closure of H(1)⊕N(2,3) in a random basis at c = 3: its
-        # elimination touches 1.71 M row entries with the products inserted
-        # in bracketing order and the first row kept on each pivot, 0.91 M
-        # with only the shortest first, 1.03 M with only the sparser row
-        # kept, and 0.87 M with both
+        # the closure of H(1)⊕N(2,3) in a random basis at c = 3: the row
+        # entries that the reductions of the inserted products and the
+        # clearing of each new pivot from the stored rows touch.  Echelon
+        # rows reduced to canonical form at the end touched 1.71 M with the
+        # products in bracketing order and the first row kept on each
+        # pivot, and 0.87 M with the shortest first and the sparser row
+        # kept; rows kept canonical after every insert touch 0.134 M
         n23 = fdlie.from_free_nilpotent(FreeNilpotentAlgebra(2, 3), "N(2,3)")
         L = fdlie.random_basis_change(direct_sum(heisenberg(1), n23), random.Random(0))
         clear_caches()
         pres = present(L, 3)
         touched = [0]
-        eliminate = exactlin._eliminate
+        reduce, eliminate = exactlin._reduce, exactlin._eliminate
 
-        def counting(v, row, p):
+        def counting_reduce(row, by_pivot):
+            touched[0] += len(row) + sum(len(by_pivot[p]) for p in row if p in by_pivot)
+            return reduce(row, by_pivot)
+
+        def counting_eliminate(v, row, p):
             touched[0] += len(v) + len(row)
             return eliminate(v, row, p)
 
-        monkeypatch.setattr(exactlin, "_eliminate", counting)
+        monkeypatch.setattr(exactlin, "_reduce", counting_reduce)
+        monkeypatch.setattr(exactlin, "_eliminate", counting_eliminate)
         assert pres.closure.rank == 853
-        assert 0 < touched[0] <= 890_000
+        assert 0 < touched[0] <= 140_000
         clear_caches()
 
 
@@ -584,6 +615,22 @@ class TestEpicenterSolve:
         assert calls["upper_centrals"] == 0 and calls["reduce"] == 0
         assert 0 < calls["residue"] <= 9 * 8**2
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_capable_solve_stops_at_full_rank(self, n, monkeypatch):
+        # A(n) is 2-capable: the constraints on its n unknowns reach rank n
+        # before they run out, and the rest of them are not inserted
+        clear_caches()
+        pres = present(abelian(n), 2)
+        pres.closure
+        images, inserts = [], []
+        kernel_of_map, insert = multiplier._kernel_of_map, exactlin._Spanner.insert
+        monkeypatch.setattr(multiplier, "_kernel_of_map", lambda given: images.extend(given) or kernel_of_map(given))
+        monkeypatch.setattr(exactlin._Spanner, "insert", lambda self, v: inserts.append(v) or insert(self, v))
+        assert pres.epicenter.is_zero
+        constraints = {col for _, image in images for col, v in image.items() if v}
+        assert len(images) == n and n <= len(inserts) < len(constraints)
+        clear_caches()
+
     def test_lost_rank_raises_presentation_error(self):
         # Z*_1(H(2)⊕H(2)) is spanned by the images of the two words of
         # length 2 off R_{≤2}; sending both to one vector loses a dimension
@@ -778,7 +825,9 @@ class TestClosureMemo:
             L = fdlie.random_basis_change(shapes[t % 3], rng, name=f"L{t}")
             report(L, 2)
             alive += [weakref.ref(present(L, c)) for c in (1, 2)]
-        assert len(cold) == 2 * (MEMO_SIZE + 1)
+        # one closure per presentation of H(1)⊕A(1); H(1) and A(3) have
+        # R_{≤k} = 0, so their chains stay 0 and build none
+        assert len(cold) == 2 * len(range(1, MEMO_SIZE + 1, 3))
         gc.collect()
         assert sum(ref() is not None for ref in alive) <= MEMO_SIZE
 

@@ -8,6 +8,19 @@ import nilmult
 PACKAGE = Path(nilmult.__file__).parent
 
 
+def assert_lines(tree: ast.AST) -> list[int]:
+    """The line of each assert statement, nested ones included."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert))
+
+
+def test_guard_sees_every_assert():
+    source = (
+        "assert ready\ndef f(x):\n    assert x, 'message'\n    return x\n"
+        "class C:\n    def g(self):\n        if self:\n            assert (self, 1)\n"
+    )
+    assert assert_lines(ast.parse(source)) == [1, 3, 8]
+
+
 def test_no_assert_statements():
     # python -O strips asserts, so invariants must raise real exceptions
     found = []
@@ -15,7 +28,7 @@ def test_no_assert_statements():
     assert len(modules) >= 7, modules
     for path in modules:
         tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{path.relative_to(PACKAGE)}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        found += [f"{path.relative_to(PACKAGE)}:{line}" for line in assert_lines(tree)]
     assert found == []
 
 
