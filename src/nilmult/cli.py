@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import fdlie, freelie, multiplier, verify
@@ -54,8 +55,18 @@ def cmd_info(args) -> int:
     return 0
 
 
+class CountTooLongError(ValueError):
+    """A count with more digits than the interpreter prints an int with."""
+
+
 def cmd_witt(args) -> int:
-    value = freelie.witt(args.generators, args.length)
+    d, n = args.generators, args.length
+    limit = sys.get_int_max_str_digits()  # 0: printing has no limit
+    # witt(d, n) > d^n / 2n for d >= 2: past this the count is not computed
+    too_long = limit and d >= 2 and n >= 1 and n * math.log10(d) - math.log10(2 * n) > limit + 1
+    value = 0 if too_long else freelie.witt(d, n)
+    if too_long or (limit and value >= 10**limit):
+        raise CountTooLongError(f"witt({d}, {n}) has more than {limit} digits, too many to print")
     if args.json:
         _emit(_json_text({"generators": args.generators, "length": args.length, "count": value}), args.output)
     else:

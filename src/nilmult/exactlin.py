@@ -71,21 +71,33 @@ def _primitive(row: IntRow) -> IntRow:
     return row
 
 
+def _is_int(x) -> bool:
+    """An int but not a bool: True as an index or a count is a mistake, not 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _checked(x, what: str, n: float = math.inf) -> int:
+    """x, refused unless it is an int, not a bool, in 0..n-1: a column of
+    Q^n, or with n left infinite an ambient dimension."""
+    if not _is_int(x):
+        raise TypeError(f"{what} {x!r} is a {type(x).__name__}, not an int")
+    if not 0 <= x < n:
+        raise ValueError(f"{what} {x} is negative" if n == math.inf else f"{what} {x} outside ambient dimension {n}")
+    return x
+
+
 def _cleared(vec, n: int) -> tuple[int, IntRow]:
     """(den, den·vec) for an exact vector of Q^n, a mapping or a sequence, den
-    the lcm of its denominators.  The one check of outside input: it refuses
-    a bool index, a value not an int or a ``Fraction``, or a non-zero entry
-    off 0..n-1."""
+    the lcm of its denominators.  With :func:`_checked`, the one check of
+    outside input: it refuses an index not a column of Q^n and a value not
+    an int or a ``Fraction``."""
     v: dict[int, int | Fraction] = {}
     den = 1
     for c, x in vec.items() if isinstance(vec, Mapping) else enumerate(vec):
-        if c is True or c is False:
-            raise TypeError(f"vector index {c!r} is a bool, not an int")
+        _checked(c, "vector index", n)
         if type(x) is not int:
             _as_fraction(x)  # raises TypeError unless x is exact; a bool is not
         if x:
-            if not 0 <= c < n:
-                raise ValueError(f"vector index {c} outside ambient dimension {n}")
             v[c] = x
             d = x.denominator
             if d != 1:
@@ -246,6 +258,7 @@ class Subspace:
     __slots__ = ("ambient_dim", "_rows", "_pivots", "_by_pivot")
 
     def __init__(self, ambient_dim: int, vectors: Iterable = ()):  # noqa: D401
+        _checked(ambient_dim, "ambient dimension")
         sp = _Spanner()
         for v in vectors:
             sp.insert(_cleared(v, ambient_dim)[1])
@@ -273,15 +286,16 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls._from_rows(ambient_dim, [])
+        return cls._from_rows(_checked(ambient_dim, "ambient dimension"), [])
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls.coordinate_span(ambient_dim, range(ambient_dim))
+        return cls.coordinate_span(ambient_dim, range(_checked(ambient_dim, "ambient dimension")))
 
     @classmethod
     def coordinate_span(cls, ambient_dim: int, cols: Iterable[int]) -> "Subspace":
-        return cls._from_rows(ambient_dim, [{c: 1} for c in sorted(set(cols))])
+        n = _checked(ambient_dim, "ambient dimension")
+        return cls._from_rows(n, [{c: 1} for c in sorted({_checked(c, "vector index", n) for c in cols})])
 
     @property
     def rank(self) -> int:

@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from ._record import Record
-from .exactlin import IntRow, Subspace, _Spanner, _as_fraction, _kernel_of_map
+from .exactlin import IntRow, Subspace, _Spanner, _as_fraction, _is_int, _kernel_of_map
 from .freelie import FreeNilpotentAlgebra, HashedKey, table_bracket
 
 if TYPE_CHECKING:  # fractions is imported where a Fraction is built
@@ -54,11 +54,6 @@ class NotNilpotentError(ValueError):
     def __init__(self, message: str, stabilized: Subspace):
         super().__init__(message)
         self.stabilized = stabilized
-
-
-def _is_int(x) -> bool:
-    """An int but not a bool: True as an index or a count is a mistake, not 1."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _clean_combo(combo: Mapping[int, object], dim: int, where: str) -> Combo:

@@ -16,7 +16,6 @@ The free algebra's table computes each product on its first read.
 from __future__ import annotations
 
 import math
-import weakref
 from collections import OrderedDict
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -24,8 +23,10 @@ from .exactlin import IntRow, Subspace, _primitive, _Spanner
 
 DIM_CAP = 5000
 
-# Entries in the memo of free algebras and presentations.  One verify-paper
-# run touches 84 presentations and about 22 free algebras, so it fits whole.
+# Entries in the memo of free algebras and algebras; an algebra's entry holds
+# its presentations at every weight asked.  verify.run_cases(8, 3), the
+# widened verify-paper, makes 84 presentations of 71 algebras on 22 free
+# algebras, at most 93 entries at once (72 at its defaults), so it fits whole.
 MEMO_SIZE = 128
 
 
@@ -64,6 +65,8 @@ def witt(d: int, n: int) -> int:
     """Number of Hall (equivalently Lyndon) words of length n on d letters."""
     if d < 0 or n < 1:
         raise ValueError("witt requires d >= 0 and n >= 1")
+    if d <= 1:  # no letter makes no word, and one letter makes one, of length 1
+        return int(d == 1 and n == 1)
     total, rest = divmod(sum(mobius(m) * d ** (n // m) for m in _divisors(n)), n)
     if rest:
         raise ArithmeticError(f"necklace sum for witt({d}, {n}) is not divisible by {n}")
@@ -312,12 +315,8 @@ class HashedKey:
 
 
 # Least recently used first.  Keys are (rank, class) for free algebras and
-# (an algebra's HashedKey, c) for presentations, so they never collide.
+# HashedKeys for algebras, so they never collide.
 _memo: OrderedDict = OrderedDict()
-
-# What the memo's entries share, by key, for as long as some entry or caller
-# holds it: an index to live values, which keeps none of them alive.
-_shared: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _memoised(key, build):
@@ -335,18 +334,9 @@ def _memoised(key, build):
     return value
 
 
-def _shared_value(key, build):
-    """The live value shared under ``key``, or ``build()`` shared from now on."""
-    value = _shared.get(key)
-    if value is None:
-        value = _shared[key] = build()
-    return value
-
-
 def clear_caches() -> None:
-    """Empty the memo of free algebras and presentations."""
+    """Empty the memo of free algebras and algebras, presentations included."""
     _memo.clear()
-    _shared.clear()
 
 
 def _check_dim_cap(d: int, c: int, dim_cap: int) -> None:

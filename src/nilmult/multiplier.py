@@ -15,7 +15,8 @@ The closures of one algebra form one chain: C_0 = R_{≤k} and
 C_t = [C_{t−1}, F(d, k+t)], one bracketing each.  The Hall basis of
 F(d, k+t−1) is a prefix of that of F(d, k+t), with the same table, so each
 C_t carries over to the next ambient unchanged.  The presentations of one
-algebra at every weight share that chain, the images and R_{≤k}.
+algebra at every weight share that chain, the images and R_{≤k}: all of it
+is the algebra's one memo entry.
 
 Each step runs through :func:`~nilmult.freelie.span_bracket_rows`, whose
 two shortcuts rest on one lemma: the words of weight n >= 2 are spanned by
@@ -41,7 +42,7 @@ from ._record import Record
 from .exactlin import ContainmentError, IntRow, Subspace, _kernel_of_map, _Spanner
 from .fdlie import LieAlgebra, nilpotent_series
 from .freelie import (
-    DIM_CAP, FreeNilpotentAlgebra, _check_dim_cap, _memoised, _shared_value, free_nilpotent, span_bracket_rows,
+    DIM_CAP, FreeNilpotentAlgebra, _check_dim_cap, _memoised, free_nilpotent, span_bracket_rows,
 )
 
 
@@ -51,19 +52,20 @@ class PresentationError(ArithmeticError):
 
 
 class _Chain:
-    """What the presentations of one algebra share at every weight: the
-    rank d, the class k, the integer images of the words of length <= k
-    (see ``Presentation.images``), and the closure chain ``closures[t]`` =
-    C_t, built as far as it has been read.  ``closures[0]`` is R_{≤k}, in
-    whichever ambient the chain started in."""
+    """An algebra's memo entry: the rank d, the class k, the integer images
+    of the words of length <= k (see ``Presentation.images``), the closure
+    chain ``closures[t]`` = C_t, built as far as it has been read, and the
+    ``presentations`` by weight c.  ``closures[0]`` is R_{≤k}, in whichever
+    ambient the chain started in.  No presentation refers back to it."""
 
-    __slots__ = ("d", "k", "images", "closures", "__weakref__")
+    __slots__ = ("d", "k", "images", "closures", "presentations")
 
     def __init__(self, d: int, k: int, images: tuple, short_relations: Subspace):
         self.d = d
         self.k = k
         self.images = images
         self.closures = [short_relations]
+        self.presentations = {}
 
     def closure(self, F: FreeNilpotentAlgebra) -> Subspace:
         """C_c in F = F(d, k + c), bracketing on from the last C_t built."""
@@ -87,16 +89,14 @@ class Presentation(Record):
     kernel on the words of length <= k; the class k of the algebra; c; the
     algebra; ``images``, den^(k-1) times the image in L of each word of
     length <= k as an integer row (the longer words map to 0); and
-    ``chain``.  A presentation equals only itself, and its repr leaves out
-    ``images`` and ``chain``.
-
-    What is derived from it (the closure, the multiplier, the epicenter) is
-    computed on first read and lives as long as the presentation does; the
-    closure comes from ``chain``, shared by the algebra's presentations.
+    ``closure``, [R, F, …, F] with c bracketings, C_c of the algebra's chain
+    (the block γ_{k+1}(F) of R brackets to zero).  A presentation equals
+    only itself, and its repr leaves out ``images`` and ``closure``.  The
+    multiplier and the epicenter are computed on first read and kept.
     """
 
-    __slots__ = ("ambient", "short_relations", "k", "c", "algebra", "images", "chain", "__dict__")
-    _hidden = ("images", "chain")
+    __slots__ = ("ambient", "short_relations", "k", "c", "algebra", "images", "closure", "__dict__")
+    _hidden = ("images", "closure")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -116,12 +116,6 @@ class Presentation(Record):
         F = self.ambient
         tail = [{j: 1} for j in range(F.stratum_starts[self.k + 1], F.dim)]
         return Subspace._from_rows(F.dim, [*self.short_relations.integer_rows(), *tail])
-
-    @cached_property
-    def closure(self) -> Subspace:
-        """[R, F, …, F] with c bracketings.  The implicit block γ_{k+1}(F)
-        of R brackets to zero, so only R_{≤k} is bracketed."""
-        return self.chain.closure(self.ambient)
 
     @cached_property
     def multiplier(self) -> MultiplierReport:
@@ -222,31 +216,31 @@ def present(L: LieAlgebra, c: int, *, dim_cap: int = DIM_CAP) -> Presentation:
     The generators map to the basis vectors off the pivots of L² in RREF,
     a lift of a basis of L/L² that is deterministic for a given L; the
     multiplier and the epicenter do not depend on the lift, so a change of
-    basis of L is the way to try another.  Presentations are memoised,
-    keyed by the algebra's name, labels and bracket table, and those of one
-    algebra share its images, R_{≤k} and closure chain.  ``dim_cap``
-    refuses an ambient F(d, k + c) larger than it, before any build and on
-    a memo hit alike, so what the memo holds never decides whether a call
-    answers.
+    basis of L is the way to try another.  The memo keeps one ``_Chain``
+    per algebra, keyed by its name, labels and bracket table, with its
+    presentations at every weight asked.  ``dim_cap`` refuses an ambient
+    F(d, k + c) larger than it, before any build and on a memo hit alike,
+    so what the memo holds never decides whether a call answers.
     """
     if c < 1:
         raise ValueError("multiplier weight c must be >= 1")
-    key = L.memo_key
-
-    def build():
-        chain = _shared_value(key, lambda: _chain(L, c, dim_cap))
+    chain = _memoised(L.memo_key, lambda: _chain(L, c, dim_cap))
+    pres = chain.presentations.get(c)
+    if pres is None:
         F = free_nilpotent(chain.d, chain.k + c, dim_cap)
         short_relations = chain.closures[0]
         if short_relations.ambient_dim != F.dim:
             short_relations = Subspace._from_rows(F.dim, short_relations.integer_rows())
-        return Presentation(F, short_relations, chain.k, c, L, chain.images, chain)
-
-    pres = _memoised((key, c), build)
-    # an ambient is never older in the memo than a presentation built on
-    # it, so free_nilpotent never builds a second copy of it; a hit the cap
-    # refuses is checked after this touch, so it keeps that order too
+        pres = chain.presentations[c] = Presentation(
+            F, short_relations, chain.k, c, L, chain.images, chain.closure(F)
+        )
+    # every ambient the entry holds is touched after it, so none is older in
+    # the memo and free_nilpotent never builds a second copy of one; a hit
+    # the cap refuses is checked after these touches, so it keeps that order
+    for held in chain.presentations.values():
+        F = held.ambient
+        _memoised((F.rank, F.nilpotency_class), lambda: F)
     F = pres.ambient
-    _memoised((F.rank, F.nilpotency_class), lambda: F)
     if F.dim > dim_cap:  # F.dim is the Witt sum, so the check refuses
         _check_dim_cap(F.rank, F.nilpotency_class, dim_cap)
     return pres

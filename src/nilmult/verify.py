@@ -56,25 +56,19 @@ def central_lines(L: LieAlgebra, rng: random.Random) -> list[Subspace]:
     ints = Z.integer_rows()
     scale = math.lcm(*(row[min(row)] for row in ints))
     rows = [{c: v * (scale // row[min(row)]) for c, v in row.items()} for row in ints]
-    vectors = list(rows)
-    for a in range(len(rows)):
-        for b in range(a + 1, len(rows)):
-            v = dict(rows[a])
-            for ccol, val in rows[b].items():
-                v[ccol] = v.get(ccol, 0) + val
-            vectors.append(v)
-    for _ in range(_EXTRA_CENTRAL_LINES):
-        coeffs = [rng.randint(-2, 2) for _ in rows]
-        v = {}
+
+    def combination(coeffs) -> dict[int, int]:
+        v: dict[int, int] = {}
         for coeff, row in zip(coeffs, rows):
-            if coeff:
-                for ccol, val in row.items():
-                    n = v.get(ccol, 0) + coeff * val
-                    if n:
-                        v[ccol] = n
-                    else:
-                        del v[ccol]
-        if v:
+            for col, val in row.items():
+                v[col] = v.get(col, 0) + coeff * val
+        return {col: val for col, val in v.items() if val}
+
+    vectors = list(rows)
+    vectors += [combination([int(t in (a, b)) for t in range(len(rows))])
+                for a in range(len(rows)) for b in range(a + 1, len(rows))]
+    for _ in range(_EXTRA_CENTRAL_LINES):
+        if v := combination([rng.randint(-2, 2) for _ in rows]):
             vectors.append(v)
     # dict keys keep the first of equal lines, in order
     return list(dict.fromkeys(Subspace._from_rows(L.dim, [_primitive(v)]) for v in vectors))

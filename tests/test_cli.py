@@ -81,6 +81,42 @@ class TestWittHall:
         assert json.loads(out)["count"] == 315
         assert code == 0
 
+    def test_witt_of_a_long_length_answers_at_once(self):
+        # one letter is answered without a divisor sum, and a count too long
+        # to print is refused before it is computed
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        cases = [("1", "1000000000000000000", 0, "0\n"), ("2", "1000000000000", 2, ""),
+                 ("3", "1000000000000000000", 2, "")]
+        for d, n, code, out in cases:
+            proc = subprocess.run(
+                [sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {src!r}); "
+                 f"from nilmult import cli; sys.exit(cli.main(['witt', '--generators', '{d}', '--length', '{n}']))"],
+                capture_output=True, text=True, timeout=60,
+            )
+            assert (proc.returncode, proc.stdout) == (code, out), (d, n, proc.stderr)
+            if code:
+                assert proc.stderr == f"error: witt({d}, {n}) has more than 4300 digits, too many to print\n"
+
+    @pytest.mark.parametrize("d, longest", [(2, 14298), (10, 4303)])
+    def test_witt_prints_every_count_up_to_the_digit_limit(self, capsys, d, longest):
+        # the interpreter prints an int of at most 4300 digits; witt(2, 14298)
+        # and witt(10, 4303) have 4300 digits, and the next lengths 4301
+        assert sys.get_int_max_str_digits() == 4300
+        for n in range(longest - 3, longest + 4):
+            for extra in ([], ["--json"]):
+                code, out, err = run(capsys, "witt", "--generators", str(d), "--length", str(n), *extra)
+                if n <= longest:
+                    value = json.loads(out)["count"] if extra else int(out)
+                    assert (code, err, value) == (0, "", freelie.witt(d, n)), (d, n)
+                    assert len(str(value)) <= 4300 and (n < longest or len(str(value)) == 4300)
+                else:
+                    assert (code, out) == (2, ""), (d, n)
+                    assert err == f"error: witt({d}, {n}) has more than 4300 digits, too many to print\n"
+
+    def test_witt_of_at_most_one_generator(self):
+        # answered without the divisor sum, with the values the sum gives
+        assert [freelie.witt(d, n) for d in (0, 1) for n in (1, 2, 12, 10**6)] == [0, 0, 0, 0, 1, 0, 0, 0]
+
     def test_hall_words(self, capsys):
         code, out, _ = run(capsys, "hall", "--generators", "2", "--class", "4")
         assert code == 0

@@ -484,6 +484,46 @@ class TestBoolRefused:
             _as_fraction(True)
 
 
+class TestConstructorsCheckInput:
+    """Every public constructor refuses what ``Subspace(n, vectors)`` refuses:
+    an ambient dimension or a column that is not an int, a bool included, a
+    negative dimension, and a column off 0..n-1."""
+
+    @pytest.mark.parametrize("build", [
+        lambda n: Subspace(n), lambda n: Subspace(n, [{0: 1}]), Subspace.zero, Subspace.full,
+        lambda n: Subspace.coordinate_span(n, [0]),
+    ])
+    def test_ambient_dimension(self, build):
+        with pytest.raises(ValueError, match="ambient dimension -1 is negative"):
+            build(-1)
+        with pytest.raises(TypeError, match="ambient dimension True is a bool"):
+            build(True)
+        with pytest.raises(TypeError, match="ambient dimension 3.0 is a float"):
+            build(3.0)
+        assert build(3).ambient_dim == 3
+
+    @pytest.mark.parametrize("build", [
+        lambda cols: Subspace(3, [{c: 1 for c in cols}]),
+        lambda cols: Subspace.coordinate_span(3, cols),
+    ])
+    def test_columns(self, build):
+        with pytest.raises(ValueError, match="vector index 5 outside ambient dimension 3"):
+            build([5])
+        with pytest.raises(ValueError, match="vector index -1 outside"):
+            build([0, -1])
+        with pytest.raises(TypeError, match="vector index True is a bool"):
+            build([True, 2])
+        with pytest.raises(TypeError, match="vector index 1.0 is a float"):
+            build([1.0])
+        assert build([2]).pivots == (2,)
+
+    def test_a_zero_entry_is_checked_too(self):
+        with pytest.raises(ValueError, match="vector index 7 outside"):
+            Subspace(3, [{7: 0}])
+        with pytest.raises(TypeError, match="vector index False is a bool"):
+            Subspace.full(3).reduce({False: 0})
+
+
 def _assert_canonical(name, S):
     rows = S.integer_rows()
     pivots = S.pivots

@@ -188,7 +188,7 @@ class TestPresent:
         pres = present(h1, 1)
         bad = Subspace.coordinate_span(pres.ambient.dim, [0])
         with pytest.raises(PresentationError, match="rank-nullity"):
-            Presentation(pres.ambient, bad, pres.k, 1, h1, pres.images, pres.chain)
+            Presentation(pres.ambient, bad, pres.k, 1, h1, pres.images, pres.closure)
 
 
 class TestSubidealBracket:
@@ -306,12 +306,14 @@ class TestClosureChain:
                 assert pres.closure == want, (L.name, c)
 
     def test_weights_share_relations_and_closures(self, h2):
+        # the algebra's one memo entry holds its chain and both presentations
         clear_caches()
         one, two = present(h2, 1), present(h2, 2)
-        assert one.chain is two.chain
+        chain = freelie._memo[h2.memo_key]
         assert one.short_relations.integer_rows() == two.short_relations.integer_rows()
-        assert two.closure is two.chain.closures[2]
-        assert one.closure is one.chain.closures[1]
+        assert two.closure is chain.closures[2]
+        assert one.closure is chain.closures[1]
+        assert chain.presentations == {1: one, 2: two}
         clear_caches()
 
     def test_numerator_matches_materialised_relations(self):
@@ -351,23 +353,24 @@ class TestClosureChain:
         clear_caches()
 
     def test_closure_outside_the_numerator_raises_with_witness(self):
-        # H(1) at c = 2: the generator x is not in γ_3(F); each broken
-        # closure is set on a presentation that leaves the memo with it
-        clear_caches()
+        # each broken closure is given to a presentation built outside the memo
+        def with_closure(pres, bad):
+            return Presentation(pres.ambient, pres.short_relations, pres.k, pres.c, pres.algebra, pres.images, bad)
+
+        # H(1) at c = 2: the generator x is not in γ_3(F)
         pres = present(heisenberg(1), 2)
-        pres.__dict__["closure"] = Subspace.coordinate_span(pres.ambient.dim, [0])
+        bad = with_closure(pres, Subspace.coordinate_span(pres.ambient.dim, [0]))
         with pytest.raises(ContainmentError, match="not in R") as err:
-            pres.multiplier
+            bad.multiplier
         assert err.value.witness == {0: 1}
         # N(2,4) at c = 1: [y, x] lies in γ_2(F), but R_{≤4} = 0
         N = fdlie.from_free_nilpotent(FreeNilpotentAlgebra(2, 4), "N(2,4)")
         pres = present(N, 1)
         yx = pres.ambient.stratum_starts[2]
-        pres.__dict__["closure"] = Subspace._from_rows(pres.ambient.dim, [{yx: 2, pres.ambient.dim - 1: 4}])
+        bad = with_closure(pres, Subspace._from_rows(pres.ambient.dim, [{yx: 2, pres.ambient.dim - 1: 4}]))
         with pytest.raises(ContainmentError) as err:
-            pres.multiplier
+            bad.multiplier
         assert err.value.witness == {yx: 1, pres.ambient.dim - 1: 2}
-        clear_caches()
 
 
 class TestClosureCost:
@@ -378,24 +381,36 @@ class TestClosureCost:
         # rows reduced to canonical form at the end touched 1.71 M with the
         # products in bracketing order and the first row kept on each
         # pivot, and 0.87 M with the shortest first and the sparser row
-        # kept; rows kept canonical after every insert touch 0.134 M
+        # kept; rows kept canonical after every insert touch 0.134 M.
+        # present builds the closure, so only its bracketings are counted
         n23 = fdlie.from_free_nilpotent(FreeNilpotentAlgebra(2, 3), "N(2,3)")
         L = fdlie.random_basis_change(direct_sum(heisenberg(1), n23), random.Random(0))
         clear_caches()
-        pres = present(L, 3)
         touched = [0]
-        reduce, eliminate = exactlin._reduce, exactlin._eliminate
+        bracketing = [False]
+        reduce, eliminate, bracket = exactlin._reduce, exactlin._eliminate, multiplier.subideal_bracket
 
         def counting_reduce(row, by_pivot):
-            touched[0] += len(row) + sum(len(by_pivot[p]) for p in row if p in by_pivot)
+            if bracketing[0]:
+                touched[0] += len(row) + sum(len(by_pivot[p]) for p in row if p in by_pivot)
             return reduce(row, by_pivot)
 
         def counting_eliminate(v, row, p):
-            touched[0] += len(v) + len(row)
+            if bracketing[0]:
+                touched[0] += len(v) + len(row)
             return eliminate(v, row, p)
+
+        def counted_bracket(S, ambient, depth):
+            bracketing[0] = True
+            try:
+                return bracket(S, ambient, depth)
+            finally:
+                bracketing[0] = False
 
         monkeypatch.setattr(exactlin, "_reduce", counting_reduce)
         monkeypatch.setattr(exactlin, "_eliminate", counting_eliminate)
+        monkeypatch.setattr(multiplier, "subideal_bracket", counted_bracket)
+        pres = present(L, 3)
         assert pres.closure.rank == 853
         assert 0 < touched[0] <= 140_000
         clear_caches()
@@ -641,9 +656,45 @@ class TestEpicenterSolve:
         a, b = [w for w in range(F.stratum_starts[2], F.stratum_starts[3]) if w not in pivots]
         images = list(pres.images)
         images[b] = images[a]
-        bad = Presentation(F, pres.short_relations, pres.k, 1, L, tuple(images), pres.chain)
+        bad = Presentation(F, pres.short_relations, pres.k, 1, L, tuple(images), pres.closure)
         with pytest.raises(PresentationError, match="rank"):
             bad.epicenter
+
+
+_FREE_QUOTIENT_SHAPES = {(d, k): fdlie.from_free_nilpotent(FreeNilpotentAlgebra(d, k), f"N({d},{k})")
+                         for d, k in ((2, 3), (3, 2), (2, 4))}
+
+
+@st.composite
+def generated_algebras(draw) -> LieAlgebra:
+    """N(d, k)/I for (d, k) in {(2, 3), (3, 2), (2, 4)} and I a random line
+    of its centre, in a random basis: dimension 4, 5 or 7."""
+    N = _FREE_QUOTIENT_SHAPES[draw(st.sampled_from(sorted(_FREE_QUOTIENT_SHAPES)))]
+    centre = series(N).upper[0].integer_rows()
+    coefficients = draw(st.lists(st.integers(-3, 3), min_size=len(centre), max_size=len(centre)).filter(any))
+    line = {}
+    for y, row in zip(coefficients, centre):
+        for j, x in row.items():
+            line[j] = line.get(j, 0) + y * x
+    L = fdlie.quotient(N, Subspace(N.dim, [line]))
+    return fdlie.random_basis_change(L, random.Random(draw(st.integers(0, 2**32))), name=f"{N.name}/{line}")
+
+
+class TestGeneratedAlgebras:
+    """Invariants on quotients of free nilpotent algebras by a central line,
+    each a different algebra with its own memo entry."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(generated_algebras(), st.integers(0, 2**32))
+    def test_multiplier_verdicts_and_epicenters(self, L, seed):
+        assert L.dim <= 8
+        assert nilpotent_multiplier(L, 1).dimension == oracles.h2_by_chevalley_eilenberg(L), L.name
+        # basis words depend on the lift, the rest of the report does not
+        moved = fdlie.random_basis_change(L, random.Random(seed))
+        want, got = report(L, 2), report(moved, 2)
+        for key in ("dim_multiplier", "bounds", "capable", "two_capable"):
+            assert got[key] == want[key], (L.name, key)
+        assert z_star(L, 2).contains_subspace(z_star(L, 1)), L.name
 
 
 class TestCentralLineCriterion:
@@ -695,8 +746,8 @@ class TestCentralLineCriterion:
 
 
 class TestClosureMemo:
-    """The one bounded memo of free algebras and presentations, and the
-    closures each presentation carries."""
+    """The one bounded memo of free algebras and algebras, each algebra's
+    entry with its presentations, and the closures they carry."""
 
     @pytest.fixture
     def cold(self, monkeypatch):
@@ -804,8 +855,9 @@ class TestClosureMemo:
         assert len(calls) == 1
 
     def test_dropped_presentation_is_freed_without_the_cycle_collector(self, cold):
-        # nothing a presentation derives refers back to it, so emptying the
-        # memo frees it by reference counting alone
+        # nothing a presentation derives refers back to it, nor does it refer
+        # to the algebra's entry, so emptying the memo frees it by reference
+        # counting alone
         gc.disable()
         try:
             pres = present(heisenberg(2), 2)
@@ -818,18 +870,20 @@ class TestClosureMemo:
             gc.enable()
 
     def test_memo_keeps_at_most_memo_size_presentations(self, cold):
+        # an algebra's presentations live in its one memo entry, so at most
+        # MEMO_SIZE algebras keep one alive
         rng = random.Random(20)
         shapes = [heisenberg(1), direct_sum(heisenberg(1), abelian(1)), abelian(3)]
         alive = []
         for t in range(MEMO_SIZE + 1):
             L = fdlie.random_basis_change(shapes[t % 3], rng, name=f"L{t}")
             report(L, 2)
-            alive += [weakref.ref(present(L, c)) for c in (1, 2)]
+            alive.append([weakref.ref(present(L, c)) for c in (1, 2)])
         # one closure per presentation of H(1)⊕A(1); H(1) and A(3) have
         # R_{≤k} = 0, so their chains stay 0 and build none
         assert len(cold) == 2 * len(range(1, MEMO_SIZE + 1, 3))
         gc.collect()
-        assert sum(ref() is not None for ref in alive) <= MEMO_SIZE
+        assert sum(any(ref() is not None for ref in refs) for refs in alive) <= MEMO_SIZE
 
     def test_clear_caches_forgets_everything(self, h1):
         F, pres = free_nilpotent(2, 3), present(h1, 2)
@@ -846,6 +900,17 @@ class TestClosureMemo:
             free_nilpotent(d, 1)
             assert present(abelian(2), 2) is pres
         assert present(abelian(2), 2).ambient is free_nilpotent(2, 3)
+
+    def test_a_query_at_one_weight_keeps_every_ambient_of_the_algebra(self):
+        # the algebra's entry holds its presentations at c = 1 and 2, so a
+        # query at c = 2 alone keeps F(2, 2), the ambient at c = 1, too
+        one = present(abelian(2), 1)
+        present(abelian(2), 2)
+        for d in range(3, MEMO_SIZE + 3):
+            free_nilpotent(d, 1)
+            present(abelian(2), 2)
+        assert free_nilpotent(2, 2) is one.ambient
+        assert present(abelian(2), 1) is one
 
 
 class TestWittOracles:

@@ -133,7 +133,7 @@ class TestPresentation:
     def test_equal_only_to_itself(self):
         pres = multiplier.present(fdlie.heisenberg(1), 2)
         twin = multiplier.Presentation(
-            pres.ambient, pres.short_relations, pres.k, pres.c, pres.algebra, pres.images, pres.chain
+            pres.ambient, pres.short_relations, pres.k, pres.c, pres.algebra, pres.images, pres.closure
         )
         assert pres == pres and pres != twin
         assert hash(pres) == object.__hash__(pres)
@@ -144,11 +144,11 @@ class TestPresentation:
         assert pres.multiplier is pres.multiplier
         assert pres.closure is pres.closure
         assert pres.epicenter is pres.epicenter
-        for name in ("ambient", "k", "c", "images", "chain"):
+        for name in ("ambient", "k", "c", "images", "closure"):
             with pytest.raises(AttributeError):
                 setattr(pres, name, None)
 
-    def test_repr_leaves_out_images_and_chain(self):
+    def test_repr_leaves_out_images_and_closure(self):
         pres = multiplier.present(fdlie.heisenberg(1), 2)
         assert repr(pres) == (
             f"Presentation(ambient={pres.ambient!r}, short_relations={pres.short_relations!r}, "
@@ -160,5 +160,5 @@ class TestPresentation:
         pres = multiplier.present(fdlie.heisenberg(1), 2)
         with pytest.raises(multiplier.PresentationError):
             multiplier.Presentation(
-                pres.ambient, pres.short_relations, pres.k, pres.c, fdlie.abelian(2), pres.images, pres.chain
+                pres.ambient, pres.short_relations, pres.k, pres.c, fdlie.abelian(2), pres.images, pres.closure
             )

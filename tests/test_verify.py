@@ -9,7 +9,8 @@ import pytest
 import nilmult
 import oracles
 from nilmult import verify
-from nilmult.fdlie import direct_sum, from_free_nilpotent, heisenberg, random_basis_change, series
+from nilmult.exactlin import Subspace
+from nilmult.fdlie import abelian, direct_sum, from_free_nilpotent, heisenberg, random_basis_change, series
 from nilmult.freelie import FreeNilpotentAlgebra
 from nilmult.verify import VerifyCase, central_lines, corpus, run_cases, render_text, to_json
 
@@ -113,6 +114,16 @@ class TestCentralLines:
             lines = central_lines(L, random.Random(shape))
         assert built == []
         assert lines == oracles.central_lines_by_fractions(L, random.Random(shape))
+
+    def test_lines_hold_no_zero_entry(self):
+        # in a random basis two rows of Z(L) can cancel in a column of their
+        # sum; the line keeps no zero there, so it equals the same line
+        # built through Subspace (8 of these 20 moved H(1)⊕A(2) have such a sum)
+        for seed in range(20):
+            L = random_basis_change(direct_sum(heisenberg(1), abelian(2)), random.Random(seed))
+            for line in central_lines(L, random.Random(5)):
+                assert all(line.integer_rows()[0].values()), seed
+                assert line == Subspace(L.dim, line.integer_rows()), seed
 
     def test_family_is_deterministic(self):
         L = corpus()[3]  # A(4), center of dimension 4
