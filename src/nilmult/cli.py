@@ -56,16 +56,18 @@ def cmd_info(args) -> int:
 
 
 class CountTooLongError(ValueError):
-    """A count with more digits than the interpreter prints an int with."""
+    """A count with more digits than the interpreter prints an int with (250,000 if it prints any)."""
 
 
 def cmd_witt(args) -> int:
     d, n = args.generators, args.length
-    limit = sys.get_int_max_str_digits()  # 0: printing has no limit
+    # with printing unlimited (0), a bound: a count of 250,000 digits computes
+    # and prints in about a second, as Python 3.11 prints an int in quadratic time
+    limit = sys.get_int_max_str_digits() or 250_000
     # witt(d, n) > d^n / 2n for d >= 2: past this the count is not computed
-    too_long = limit and d >= 2 and n >= 1 and n * math.log10(d) - math.log10(2 * n) > limit + 1
+    too_long = d >= 2 and n >= 1 and n * math.log10(d) - math.log10(2 * n) > limit + 1
     value = 0 if too_long else freelie.witt(d, n)
-    if too_long or (limit and value >= 10**limit):
+    if too_long or value >= 10**limit:
         raise CountTooLongError(f"witt({d}, {n}) has more than {limit} digits, too many to print")
     if args.json:
         _emit(_json_text({"generators": args.generators, "length": args.length, "count": value}), args.output)
@@ -206,14 +208,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--basis", action="store_true", help="list Hall-word representatives")
-    p.add_argument("--opt-in-c3", action="store_true", help="no effect; kept so old command lines still parse")
     common(p)
     p.set_defaults(fn=cmd_multiplier)
 
     p = sub.add_parser("capable", help="c-capability verdict for an algebra file")
     p.add_argument("file")
     p.add_argument("--c", type=int, required=True)
-    p.add_argument("--opt-in-c3", action="store_true", help="no effect; kept so old command lines still parse")
     common(p)
     p.set_defaults(fn=cmd_capable)
 

@@ -2,11 +2,12 @@
 
 A Hall word is either a generator or a bracket [u, v] of Hall words with
 u > v, where a composite u = [s, t] additionally requires v >= t.  Words are
-ordered by length first, then by position within their length stratum; a
-stratum is sorted lexicographically by the (left, right) positions of its
-members.  With that order the words of length <= c form a basis of the free
-nilpotent Lie algebra of class c, and every bracket of basis words collapses
-to an integer combination of basis words by Jacobi rewriting.
+ordered by length, then by the positions of u, then v.  Stratum n is built
+in that order by one pass over the shorter words u, each bracketed with the
+one run of words v the rule allows it: of length n - |u|, below u, and from
+t on when u = [s, t].  With that order the words of length <= c form a basis
+of the free nilpotent Lie algebra of class c, and every bracket of basis
+words collapses to an integer combination of basis words by Jacobi rewriting.
 
 A structure table, here and in :mod:`nilmult.fdlie`, holds each non-zero
 [e_i, e_j] once, under (i, j) with i < j; :func:`table_bracket` expands it.
@@ -19,7 +20,7 @@ import math
 from collections import OrderedDict
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .exactlin import IntRow, Subspace, _primitive, _Spanner
+from .exactlin import IntRow, _primitive, _Spanner
 
 DIM_CAP = 5000
 
@@ -117,42 +118,40 @@ def generator_labels(d: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(d))
 
 
-def _hall_pairs(strata: Sequence[Sequence[HallWord]], length: int) -> list[tuple[HallWord, HallWord]]:
-    """The Hall pairs (u, v) whose bracket has the given length, sorted by
-    the keys of u, then v; ``strata[n]`` holds the words of length n."""
-    pairs = []
-    for a in range(1, length):
-        for u in strata[a]:
-            for v in strata[length - a]:
-                if u.key <= v.key:
-                    continue
-                if u.gen is None and v.key < u.right.key:
-                    continue
-                pairs.append((u, v))
-    pairs.sort(key=lambda uv: (uv[0].key, uv[1].key))
-    return pairs
+def _add_stratum(words: list[HallWord], starts: Sequence[int], n: int) -> None:
+    """Append the Hall words of length n to ``words``, which holds every
+    shorter one; ``starts[m]`` indexes the first word of length m <= n."""
+    for u in words[:starts[n]]:
+        a = n - u.length  # v < u of length a, and v >= t when u = [s, t]
+        lo = starts[a] if u.gen is not None else max(starts[a], u.right.key)
+        for v in words[lo:min(starts[a + 1], u.key)]:
+            words.append(HallWord(None, u, v, n, len(words)))
+
+
+def _hall_strata(d: int, c: int) -> tuple[list[HallWord], list[int]]:
+    """The words of :func:`hall_basis` and the starts of their strata:
+    ``starts[n]`` indexes the first word of length n, up to the word count."""
+    if d < 0 or c < 1:
+        raise ValueError("hall_basis requires d >= 0 and c >= 1")
+    words = [HallWord(i, None, None, 1, i, label) for i, label in enumerate(generator_labels(d))]
+    starts = [0, 0, d]
+    for n in range(2, c + 1):
+        _add_stratum(words, starts, n)
+        if len(words) == starts[n]:
+            break
+        starts.append(len(words))
+    return words, starts
 
 
 def hall_basis(d: int, c: int) -> list[HallWord]:
     """All Hall words of length <= c on d generators, in basis order.
 
-    An empty stratum past length 1 means d <= 1, where every longer stratum
-    is empty too, so the build stops there whatever c is.
+    Each stratum comes from one in-order pass (see the module docstring), so
+    no pair is formed and then dropped, and nothing is sorted.  An empty
+    stratum past length 1 means d <= 1, where every longer stratum is empty
+    too, so the build stops there whatever c is.
     """
-    if d < 0 or c < 1:
-        raise ValueError("hall_basis requires d >= 0 and c >= 1")
-    words: list[HallWord] = [HallWord(i, None, None, 1, i, label) for i, label in enumerate(generator_labels(d))]
-    strata: list[list[HallWord]] = [[], list(words)]
-    for length in range(2, c + 1):
-        stratum = []
-        for u, v in _hall_pairs(strata, length):
-            w = HallWord(None, u, v, length, len(words))
-            words.append(w)
-            stratum.append(w)
-        if not stratum:
-            break
-        strata.append(stratum)
-    return words
+    return _hall_strata(d, c)[0]
 
 
 def table_bracket(product: Callable[[tuple[int, int]], Mapping[int, int] | None],
@@ -236,19 +235,14 @@ class FreeNilpotentAlgebra:
     __slots__ = ("rank", "nilpotency_class", "basis", "dim", "stratum_starts", "_table")
 
     def __init__(self, rank: int, nilpotency_class: int):
-        basis = hall_basis(rank, nilpotency_class)
+        basis, starts = _hall_strata(rank, nilpotency_class)
         self.rank = rank
         self.nilpotency_class = nilpotency_class
         self.basis = tuple(basis)
         self.dim = len(basis)
-        # stratum_starts[w] = index of the first word of length w, for
-        # 1 <= w <= class + 1 (the last entry is the total dimension).
-        starts = [0] * (nilpotency_class + 2)
-        for w in basis:
-            starts[w.length + 1] = w.key + 1
-        for w in range(1, nilpotency_class + 2):
-            starts[w] = max(starts[w], starts[w - 1])
-        self.stratum_starts = tuple(starts)
+        # stratum_starts[w] = index of the first word of length w, for 1 <= w
+        # <= class + 1 (the last is the dimension); past an early stop, empty
+        self.stratum_starts = tuple(starts) + (self.dim,) * (nilpotency_class + 2 - len(starts))
         self._table = _ProductTable(self.basis, nilpotency_class)
 
     def products(self) -> dict[tuple[int, int], IntRow]:
@@ -263,29 +257,9 @@ class FreeNilpotentAlgebra:
     def weight(self, index: int) -> int:
         return self.basis[index].length
 
-    def bracket_indices(self, i: int, j: int) -> dict[int, int]:
-        """[e_i, e_j] as an integer combination of basis indices.
-
-        The table holds each pair once, under (i, j) with i < j, and
-        computes it on its first read.  For i > j the combination is
-        negated into a fresh dict.  For i < j the returned dict is the
-        table's own; callers must not mutate it.
-        """
-        if i < j:
-            return self._table[i, j]
-        return {k: -c for k, c in self._table[j, i].items()} if i > j else {}
-
     def bracket_row_index(self, row: Mapping[int, int], j: int) -> IntRow:
         """[row, e_j] for a sparse integer row."""
         return table_bracket(self._table.__getitem__, row, {j: 1})
-
-    def gamma(self, k: int) -> Subspace:
-        """The k-th term of the lower central series as a coordinate subspace."""
-        if k < 1:
-            raise ValueError("gamma is indexed from 1")
-        if k > self.nilpotency_class:
-            return Subspace.zero(self.dim)
-        return Subspace.coordinate_span(self.dim, range(self.stratum_starts[k], self.dim))
 
     def __repr__(self):
         return f"FreeNilpotentAlgebra(rank={self.rank}, class={self.nilpotency_class}, dim={self.dim})"

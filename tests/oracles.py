@@ -11,6 +11,10 @@ reaches the same numbers by a structurally different route:
   every basis pair certifies the whole structure-constant table.
 * the closed forms at the bottom are hand-derived dimension formulas,
   kept as one-liners so a reviewer can re-derive them by hand.
+* ``hall_words_by_filter`` is the Hall basis by testing every pair of
+  each length against the Hall rule and sorting the survivors, the
+  reference for the in-order pass of ``hall_basis``; ``free_gamma`` reads
+  γ_k(F) off a free algebra's stratum starts.
 * ``jacobi_table_by_recursion`` is the memoised recursive Jacobi rewriting
   that the weight-ordered table build replaced, kept as its reference.
 * ``reduce_by_every_pivot`` is the walk-every-pivot reduction that the
@@ -180,6 +184,42 @@ def expand_combination(combo, basis, max_degree: int) -> AssocPoly:
     for k, coeff in combo.items():
         out = out + expand_hall_word(basis[k], max_degree).scale(coeff)
     return out
+
+
+def hall_words_by_filter(d: int, c: int) -> list[tuple[str, int, int | None, int | None]]:
+    """The Hall words of length <= c on d generators as (text, length, left
+    key, right key), a word's key being its position in the list.
+
+    Each length tests every pair (u, v) of shorter words against the Hall
+    rule (u > v, and v >= t when u = [s, t]) and sorts the survivors by the
+    keys of u, then v: the enumeration that the in-order pass of
+    ``hall_basis`` replaced.  It stops at the first empty stratum.
+    """
+    labels = ("x", "y") if d == 2 else tuple(f"x{i + 1}" for i in range(d))
+    words = [(label, 1, None, None) for label in labels]
+    strata = {1: list(range(d))}
+    for n in range(2, c + 1):
+        pairs = sorted(
+            (u, v)
+            for a in range(1, n) for u in strata[a] for v in strata[n - a]
+            if u > v and (words[u][2] is None or v >= words[u][3])
+        )
+        if not pairs:
+            break
+        strata[n] = []
+        for u, v in pairs:
+            left = words[u][0] if words[u][2] is None else words[u][0][1:-1]  # left-normed
+            strata[n].append(len(words))
+            words.append((f"[{left},{words[v][0]}]", n, u, v))
+    return words
+
+
+def free_gamma(F, k: int):
+    """γ_k(F) of a free nilpotent algebra F, 1 <= k <= class + 1: the span of
+    its words of weight >= k."""
+    from nilmult.exactlin import Subspace
+
+    return Subspace.coordinate_span(F.dim, range(F.stratum_starts[k], F.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +751,7 @@ def epicenter_by_upper_centrals(pres):
         for b in range(a + 1, len(keep)):
             if wa + F.weight(keep[b]) > cls:
                 break  # weights ascend with the index
-            combo = F.bracket_indices(keep[a], keep[b])
+            combo = F.bracket_row_index({keep[a]: 1}, keep[b])
             if not combo:
                 continue
             residual = closure.reduce(combo)

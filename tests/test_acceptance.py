@@ -142,7 +142,7 @@ def test_criterion_7_property_battery(capsys):
     for F in (free_nilpotent(2, 4), free_nilpotent(3, 3)):
         for i in range(F.dim):
             for j in range(F.dim):
-                fwd, back = F.bracket_indices(i, j), F.bracket_indices(j, i)
+                fwd, back = F.bracket_row_index({i: 1}, j), F.bracket_row_index({j: 1}, i)
                 if fwd != {k: -c for k, c in back.items()}:
                     failures.append(("antisymmetry", F.rank, i, j))
         for a in range(F.dim):
@@ -150,8 +150,8 @@ def test_criterion_7_property_battery(capsys):
                 for c in range(b + 1, F.dim):
                     total: dict[int, int] = {}
                     for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                        for k, ck in F.bracket_indices(y, z).items():
-                            for t, ct in F.bracket_indices(x, k).items():
+                        for k, ck in F.bracket_row_index({y: 1}, z).items():
+                            for t, ct in F.bracket_row_index({x: 1}, k).items():
                                 s = total.get(t, 0) + ck * ct
                                 if s:
                                     total[t] = s
@@ -165,7 +165,7 @@ def test_criterion_7_property_battery(capsys):
     for i in range(F.dim):
         for j in range(F.dim):
             direct = expansions[i].commutator(expansions[j])
-            collected = oracles.expand_combination(F.bracket_indices(i, j), F.basis, 4)
+            collected = oracles.expand_combination(F.bracket_row_index({i: 1}, j), F.basis, 4)
             if direct != collected:
                 failures.append(("oracle", i, j))
 

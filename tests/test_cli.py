@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -97,6 +98,25 @@ class TestWittHall:
             if code:
                 assert proc.stderr == f"error: witt({d}, {n}) has more than 4300 digits, too many to print\n"
 
+    def test_witt_with_printing_unlimited_refuses_past_a_fixed_bound(self):
+        # with PYTHONINTMAXSTRDIGITS=0 the bound is 250,000 digits: witt(2,
+        # 830501) has 250,000 digits and prints; the next length, and 10^12,
+        # are refused, the last at once, before its count is computed
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONINTMAXSTRDIGITS="0")
+        for n, code in (("830501", 0), ("830502", 2), ("1000000000000", 2)):
+            proc = subprocess.run(
+                [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); "
+                 f"from nilmult import cli; sys.exit(cli.main(['witt', '--generators', '2', '--length', '{n}']))"],
+                capture_output=True, text=True, timeout=60, env=env,
+            )
+            assert proc.returncode == code, (n, proc.stderr)
+            if code:
+                assert proc.stdout == ""
+                assert proc.stderr == f"error: witt(2, {n}) has more than 250000 digits, too many to print\n"
+            else:
+                assert (len(proc.stdout), proc.stdout[-1], proc.stderr) == (250_001, "\n", "")
+
     @pytest.mark.parametrize("d, longest", [(2, 14298), (10, 4303)])
     def test_witt_prints_every_count_up_to_the_digit_limit(self, capsys, d, longest):
         # the interpreter prints an int of at most 4300 digits; witt(2, 14298)
@@ -181,12 +201,14 @@ class TestWittHall:
             return wrapper
 
         monkeypatch.setattr(freelie, "witt", counted(freelie.witt))
-        monkeypatch.setattr(freelie, "_hall_pairs", counted(freelie._hall_pairs))
+        monkeypatch.setattr(freelie, "_add_stratum", counted(freelie._add_stratum))
         for d, words in ((1, ["x1"]), (0, [])):
             calls.clear()
             code, out, err = run(capsys, "hall", "--generators", str(d), "--class", "1000000", "--json")
             assert (code, err) == (0, "")
             assert json.loads(out) == {"generators": d, "class": 1000000, "dim": len(words), "words": words}
+            # the Hall basis builds stratum 2, finds it empty, and builds no other
+            assert [args[2] for args in calls if len(args) == 3] == [2]
 
 
 class TestColdStart:
@@ -274,18 +296,23 @@ class TestMultiplier:
         assert "n/a (abelian)" in out
 
     def test_high_weight_past_the_cap_exits_two(self, capsys, h4_file):
-        # the dimension cap is the one guard; --opt-in-c3 changes nothing
-        for flags in ([], ["--opt-in-c3"]):
-            code, out, err = run(capsys, "multiplier", h4_file, "--c", "3", *flags)
-            assert code == 2
-            assert out == ""
-            assert err.startswith("error:")
-            assert "dimension 7764, cap is 5000" in err
+        # the dimension cap is the one guard
+        code, out, err = run(capsys, "multiplier", h4_file, "--c", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "dimension 7764, cap is 5000" in err
 
     def test_high_weight_with_flag(self, capsys, a3_file):
-        code, out, _ = run(capsys, "multiplier", a3_file, "--c", "3", "--opt-in-c3", "--json")
+        # c >= 3 needs no flag, and --opt-in-c3 is refused as an unknown argument
+        code, out, _ = run(capsys, "multiplier", a3_file, "--c", "3", "--json")
         assert code == 0
         assert json.loads(out)["dim_multiplier"] == 18
+        for command in ("multiplier", "capable"):
+            with pytest.raises(SystemExit) as raised:
+                run(capsys, command, a3_file, "--c", "3", "--opt-in-c3")
+            assert raised.value.code == 2
+            assert "unrecognized arguments: --opt-in-c3" in capsys.readouterr().err
 
     def test_malformed_file_names_field(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -328,12 +355,12 @@ class TestCapable:
         assert "rank 8 and class 5 has dimension 7764, cap is 5000" in err
 
     def test_high_weight_with_flag(self, capsys, tmp_path, h1_file):
-        code, out, _ = run(capsys, "capable", h1_file, "--c", "3", "--opt-in-c3")
+        code, out, _ = run(capsys, "capable", h1_file, "--c", "3")
         assert code == 0
         assert "H(1): 3-capable (Z*_3 = 0)" in out
         path = tmp_path / "h2.json"
         fdlie.dump(fdlie.heisenberg(2), path)
-        code, out, _ = run(capsys, "capable", str(path), "--c", "3", "--opt-in-c3", "--json")
+        code, out, _ = run(capsys, "capable", str(path), "--c", "3", "--json")
         assert code == 0
         assert json.loads(out) == {"algebra": "H(2)", "c": 3, "capable": False, "dim_z_star": 1}
 

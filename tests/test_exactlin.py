@@ -553,7 +553,7 @@ def _trusted_subspaces():
         yield f"subideal_bracket depth {depth}", subideal_bracket(pres.relations, F, depth)
     numerator = pres.relations.intersect_suffix(F.stratum_starts[3])
     yield "intersect_suffix", numerator
-    yield "intersect", pres_h2.relations.intersect(pres_h2.ambient.gamma(2))
+    yield "intersect", pres_h2.relations.intersect(oracles.free_gamma(pres_h2.ambient, 2))
     for _ in range(10):
         dim = rng.randrange(2, 8)
         u = span(*[[rng.randint(-3, 3) for _ in range(dim)] for _ in range(3)], dim=dim)
