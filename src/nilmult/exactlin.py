@@ -13,15 +13,16 @@ integer row is a scale s and s times its residual, and ``Subspace.reduce``
 is the ``Fraction`` view of it.
 
 Every kernel the package needs (the relation kernel of a presentation, the
-epicenter's constraints, each term of the upper central series) is one
-solve, ``_kernel_of_map``: the unknowns' images are written out and the
-null space of that map is read off the reduced constraint rows.
+epicenter, each term of the upper central series, an intersection) is one
+tagged solve, ``_kernel_image``: each unknown's image, with a tag written
+after it, is one row of one ``_Spanner``, and the canonical rows that start
+in the tag columns are the tags of the combinations whose images cancel.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # fractions is imported where a Fraction is built or checked
@@ -192,59 +193,25 @@ class _Spanner:
         return [self.rows[p] for p in sorted(self.rows)]
 
 
-def _kernel_rows(n: int, canonical_rows: list[IntRow]) -> list[IntRow]:
-    """Canonical basis rows of the null space of the matrix with the given
-    fully reduced rows.
+def _kernel_image(
+    pairs: Iterable[tuple[Mapping[int, int], Mapping[int, int]]], offset: int
+) -> tuple[int, list[IntRow]]:
+    """(rank, rows) for the tagged rows image_t ∪ (offset + tag_t) of the
+    pairs (image_t, tag_t), image columns below ``offset``: rows is the
+    canonical basis of {Σ y_t · tag_t : Σ y_t · image_t = 0}, and rank that
+    of all the tagged rows.
 
-    The solution for free column f has its lowest entry on a pivot of the
-    constraints whenever one of them hits f, so two solutions can share a
-    leading column; they are put into canonical form before returning.  A
-    column that no constraint hits gives the unit row e_f, which no other
-    solution touches, so it skips that step.
+    The canonical rows with a pivot at or past ``offset`` are zero on every
+    image column, so they span exactly the tags of the combinations whose
+    images cancel; shifted back, they are already canonical.  Entries that
+    cancelled to an explicit zero are dropped.
     """
-    by_pivot = {min(r): r for r in canonical_rows}
-    free_cols = [c for c in range(n) if c not in by_pivot]
-    units = []
     sp = _Spanner()
-    for f in free_cols:
-        hits = [(p, r) for p, r in by_pivot.items() if f in r]
-        if not hits:
-            units.append({f: 1})
-            continue
-        scale = 1
-        for p, r in hits:
-            scale = scale * r[p] // math.gcd(scale, r[p])
-        vec = {f: scale}
-        for p, r in hits:
-            vec[p] = -r[f] * (scale // r[p])
-        sp.insert(vec)
-    return sorted([*units, *sp.canonical()], key=min)
-
-
-def _kernel_of_map(images: Sequence[tuple[int, Mapping[Hashable, int]]]) -> list[IntRow]:
-    """Canonical basis rows of {x : Σ_t x_t · images[t] = 0}.
-
-    ``images[t]`` is the image of unknown t as a pair (s_t, row): a scale
-    and a sparse integer row over any hashable coordinates, standing for
-    row / s_t, as a residue is.  The solve runs on integers in
-    y_t = x_t / s_t; each kernel row is scaled back, which keeps a fully
-    reduced row fully reduced.  No constraint is inserted past full rank.
-    """
-    scale = []
-    constraints: dict[Hashable, IntRow] = {}
-    for t, (s, image) in enumerate(images):
-        scale.append(s)
-        for col, v in image.items():
-            if v:
-                constraints.setdefault(col, {})[t] = v
-    sp = _Spanner()
-    for row in constraints.values():
-        if sp.insert(row) and sp.rank == len(images):
-            return []
-    kernel = _kernel_rows(len(images), sp.canonical())
-    if max(scale, default=1) > 1:
-        kernel = [_primitive({t: y * scale[t] for t, y in row.items()}) for row in kernel]
-    return kernel
+    for image, tag in pairs:
+        row = {c: v for c, v in image.items() if v}
+        row.update((offset + c, v) for c, v in tag.items() if v)
+        sp.insert(row)
+    return sp.rank, [{c - offset: v for c, v in r.items()} for r in sp.canonical() if min(r) >= offset]
 
 
 class Subspace:
@@ -279,10 +246,6 @@ class Subspace:
         self = object.__new__(cls)
         self._install(ambient_dim, rows)
         return self
-
-    @classmethod
-    def from_spanner(cls, ambient_dim: int, sp: _Spanner) -> "Subspace":
-        return cls._from_rows(ambient_dim, sp.canonical())
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -362,22 +325,15 @@ class Subspace:
             sp.insert(dict(r))
         for r in other._rows:
             sp.insert(dict(r))
-        return Subspace.from_spanner(self.ambient_dim, sp)
+        return Subspace._from_rows(self.ambient_dim, sp.canonical())
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: row-reduce [B|B] over [C|0]; rows supported on the
-        right block form a basis of the intersection."""
+        """Zassenhaus, as one :func:`_kernel_image`: each row of self tagged
+        with itself, each row of other untagged; a combination that
+        cancels has as its tag a vector of both."""
         self._check_ambient(other)
-        n = self.ambient_dim
-        sp = _Spanner()
-        for r in self._rows:
-            wide = dict(r)
-            wide.update({c + n: v for c, v in r.items()})
-            sp.insert(wide)
-        for r in other._rows:
-            sp.insert(dict(r))
-        rows = [{c - n: v for c, v in r.items()} for r in sp.canonical() if min(r) >= n]
-        return Subspace._from_rows(n, rows)
+        pairs = [*((r, r) for r in self._rows), *((r, {}) for r in other._rows)]
+        return Subspace._from_rows(self.ambient_dim, _kernel_image(pairs, self.ambient_dim)[1])
 
     def quotient_dim(self, other: "Subspace") -> int:
         """dim(self / other); requires other to be contained in self."""

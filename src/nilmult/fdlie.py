@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from ._record import Record
-from .exactlin import IntRow, Subspace, _Spanner, _as_fraction, _is_int, _kernel_of_map
+from .exactlin import IntRow, Subspace, _Spanner, _as_fraction, _is_int, _kernel_image
 from .freelie import FreeNilpotentAlgebra, HashedKey, table_bracket
 
 if TYPE_CHECKING:  # fractions is imported where a Fraction is built
@@ -331,7 +331,7 @@ def _lower_centrals(L: LieAlgebra) -> list[Subspace]:
     sp = _Spanner()
     for combo in L._num.values():
         sp.insert(combo)
-    chain.append(Subspace.from_spanner(n, sp))
+    chain.append(Subspace._from_rows(n, sp.canonical()))
     if chain[-1].rank in (0, n):
         return chain
     gens = _generating_units(L, chain[-1])
@@ -342,7 +342,7 @@ def _lower_centrals(L: LieAlgebra) -> list[Subspace]:
                 prod = L._ibracket(row, {j: 1})
                 if prod:
                     sp.insert(prod)
-        nxt = Subspace.from_spanner(n, sp)
+        nxt = Subspace._from_rows(n, sp.canonical())
         chain.append(nxt)
         if nxt.rank in (0, chain[-2].rank):
             return chain
@@ -376,9 +376,10 @@ def upper_centrals(L: LieAlgebra) -> list[Subspace]:
         residue = {
             p: {q: -v * (s // row[p]) for q, v in row.items() if q != p} for p, row in zip(Z.pivots, rows)
         }
+        # e_i off the pivots, tagged with itself, has the image holding
+        # s·([e_i, e_j] mod Z) at the coordinates j·n + q
         free = [i for i in range(n) if i not in residue]
-        # the image of e_i holds s·([e_i, e_j] mod Z) at the coordinates j·n + q
-        images = []
+        tagged = []
         for i in free:
             image: dict[int, int] = {}
             for j, combo in pairs[i]:
@@ -390,9 +391,8 @@ def upper_centrals(L: LieAlgebra) -> list[Subspace]:
                     else:
                         for q, v in res.items():
                             image[at + q] = image.get(at + q, 0) + c * v
-            images.append((1, image))
-        kernel = _kernel_of_map(images)
-        K = Subspace._from_rows(n, [{free[t]: y for t, y in row.items()} for row in kernel])
+            tagged.append((image, {i: 1}))
+        K = Subspace._from_rows(n, _kernel_image(tagged, n * n)[1])
         if chain and K.is_zero:
             break
         # K meets Z only in 0: once the ranks add up to dim L, Z_{t+1} is L

@@ -27,9 +27,11 @@ they can reach stops inserting (fill).  For H(m) with m >= 2,
 dim M(H(m)) = 2m² − m − 1 says that C_1 = γ_3(F), so C_t = γ_{t+2}(F) at
 every t, and M^(c)(H(m)) = γ_{c+1}(F)/γ_{c+2}(F) for c >= 2.
 
+R_{≤k} and the epicenter are each one tagged solve, ``_kernel_image``.
 The epicenter is solved on dim L unknowns: R/[R,F,…,F] is central of
 depth c, so only the words that map onto a basis of L need testing, and
-only against generators, which costs dim L · d^c brackets for d generators.
+only against generators, which costs dim L · d^c brackets for d generators;
+each word is tagged with its image in L, so the solve yields Z*_c(L) itself.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from bisect import bisect_left
 from functools import cached_property
 
 from ._record import Record
-from .exactlin import ContainmentError, IntRow, Subspace, _kernel_of_map, _Spanner
+from .exactlin import ContainmentError, IntRow, Subspace, _kernel_image
 from .fdlie import LieAlgebra, nilpotent_series
 from .freelie import (
     DIM_CAP, FreeNilpotentAlgebra, _check_dim_cap, _memoised, free_nilpotent, span_bracket_rows,
@@ -167,41 +169,34 @@ class Presentation(Record):
         generators generate, so x lies in Z_c(F/C) exactly when every
         left-normed [x, g_1, …, g_c] with generators g_i lies in C.  The
         constraints are those dim L · d^c brackets reduced modulo C, each as
-        an integer residue brought to its word's one scale, and the solutions
-        are pushed into L through the integer images, which share one scale,
-        so the solve never leaves the integers.
+        an integer residue brought to its word's one scale q.  Word w's row
+        is one ``_kernel_image`` pair: its residues, tagged with q times its
+        integer image in L (the images share one scale), so the tags of the
+        combinations whose residues cancel are Z*_c(L) itself, solved on
+        integers in dim L inserts.  The words map to a basis of L, so the
+        tagged rows have rank dim L; less is a bug.
         """
         F = self.ambient
         closure = self.closure
         relation_pivots = set(self.short_relations.pivots)
         words = [w for w in range(F.stratum_starts[self.k + 1]) if w not in relation_pivots]
-        # the image of words[t]: its s-th generator bracketing modulo C at (s, col)
-        residuals = []
+        # the residues of w: its s-th generator bracketing modulo C at s·F.dim + col
+        tagged = []
         for w in words:
             level = [{w: 1}]
             for _ in range(self.c):
                 level = [F.bracket_row_index(row, g) for row in level for g in range(F.rank)]
             parts = [(s, closure._residue(row)) for s, row in enumerate(level) if row]
             scale = math.lcm(*(q for _, (q, _) in parts))
-            residuals.append(
-                (scale, {(s, col): v * (scale // q) for s, (q, res) in parts for col, v in res.items()})
-            )
-        kernel = _kernel_of_map(residuals)
-
-        sp = _Spanner()
-        for row in kernel:
-            v: IntRow = {}
-            for t, y in row.items():
-                for r, x in self.images[words[t]].items():
-                    v[r] = v.get(r, 0) + y * x
-            sp.insert({r: x for r, x in v.items() if x})
-        Z = Subspace.from_spanner(self.algebra.dim, sp)
-        if Z.rank != len(kernel):
+            image = {s * F.dim + col: v * (scale // q) for s, (q, res) in parts for col, v in res.items()}
+            tagged.append((image, {r: scale * x for r, x in self.images[w].items()}))
+        rank, rows = _kernel_image(tagged, F.rank**self.c * F.dim)
+        if rank != len(words):
             raise PresentationError(
-                f"{self.algebra.name}: {len(kernel)} independent solutions on the words "
-                f"off R_{{≤k}} map to rank {Z.rank} in L, but those words map to a basis of L"
+                f"{self.algebra.name}: the {len(words)} words off R_{{≤k}} have tagged constraints "
+                f"of rank {rank}, but those words map to a basis of L"
             )
-        return Z
+        return Subspace._from_rows(self.algebra.dim, rows)
 
 
 class MultiplierReport(Record):
@@ -275,7 +270,9 @@ def _chain(L: LieAlgebra, c: int, dim_cap: int) -> _Chain:
         {r: v * L.den ** (k - w.length) for r, v in img.items()}
         for w, img in zip(F.basis[:short], ints)
     )
-    short_relations = Subspace._from_rows(F.dim, _kernel_of_map([(1, img) for img in images]))
+    # each word is tagged with itself, so the solve gives R_{≤k} in F's coordinates
+    _, relations = _kernel_image([(img, {w: 1}) for w, img in enumerate(images)], L.dim)
+    short_relations = Subspace._from_rows(F.dim, relations)
     return _Chain(d, k, images, short_relations)
 
 

@@ -27,7 +27,8 @@ reaches the same numbers by a structurally different route:
   Jacobi scan, the Gauss-Jordan basis change, the lower central series and
   the generator images of ``present``, and the ``upper_centrals`` loop.
   They read an algebra only through ``bracket_basis``; the last three still
-  solve with nilmult's elimination engine, which has tests of its own.
+  solve with nilmult's elimination engine, which has tests of its own (the
+  last two as a ``_kernel_image`` with unit tags).
   ``int_row`` clears a rational vector to its primitive integer row by
   Fractions, the reference for ``exactlin._cleared``, and ``unchecked``
   builds an algebra on a rational table without the Jacobi check, for the
@@ -49,11 +50,18 @@ reaches the same numbers by a structurally different route:
 * ``h2_by_chevalley_eilenberg`` is the Schur multiplier as the homology
   H_2(L) of the Chevalley-Eilenberg complex, by its own integer elimination
   on the exterior powers of L; it never builds a free algebra.
+* ``exterior_square`` is Z*_1(L) as the exterior centre Z^∧(L) and
+  dim M(L) as dim L∧L − dim L², with L∧L = Λ²L / im(d_3) for the d_3 of
+  ``h2_by_chevalley_eilenberg``; it solves by its own integer elimination
+  and ``kernel_by_fractions``.  ``random_basis_matrices`` redraws the P
+  of ``random_basis_change`` from the same seed, and ``in_basis`` moves
+  coordinate rows to that basis.
 * ``kernel_by_fractions`` is plain ``Fraction`` Gauss-Jordan elimination,
-  the reference for the one kernel solve ``_kernel_of_map``, which
-  ``as_scaled_image`` feeds an exact image as its (scale, integer row), and
-  ``rref_by_fractions`` the same elimination on a list of rows, the
-  reference for the row space ``_Spanner`` builds in any insertion order.
+  the reference for the one tagged kernel solve ``_kernel_image``, which
+  ``as_scaled_image`` clears an exact image for as its (scale, integer
+  row), and ``rref_by_fractions`` the same elimination on a list of rows,
+  the reference for the row space ``_Spanner`` builds in any insertion
+  order.
 """
 
 from __future__ import annotations
@@ -463,7 +471,7 @@ def lower_centrals_by_all_pairs(L):
         for row in chain[-1].integer_rows():
             for j in sorted(set().union(*(partners.get(i, ()) for i in row))):
                 sp.insert(L._ibracket(row, {j: 1}))
-        chain.append(Subspace.from_spanner(L.dim, sp))
+        chain.append(Subspace._from_rows(L.dim, sp.canonical()))
         if chain[-1].rank == chain[-2].rank:
             break
     return chain
@@ -582,13 +590,25 @@ def basis_change_by_gauss_jordan(L, rng) -> dict[tuple[int, int], dict[int, Frac
     randint(-3, 3), redrawn while singular) and inverted by Gauss-Jordan
     elimination in Fractions, so one seed gives the same table.
     """
-    n = L.dim
+    return _table_in_basis(L, *random_basis_matrices(L.dim, rng))
+
+
+def random_basis_matrices(n: int, rng):
+    """(P, P⁻¹) for the P that ``random_basis_change`` draws from ``rng`` for
+    an n-dimensional algebra: row by row from randint(-3, 3), redrawn while
+    singular, and inverted by Gauss-Jordan elimination in Fractions."""
     while True:
         P = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
         Pinv = _inverse_by_gauss_jordan(P)
         if Pinv is not None:
-            break
-    return _table_in_basis(L, P, Pinv)
+            return P, Pinv
+
+
+def in_basis(rows, Pinv) -> list[dict[int, Fraction]]:
+    """Rows of coordinates on the basis e rewritten on b_i = sum_j P[i][j] e_j:
+    since e_j = sum_i P⁻¹[j][i] b_i, a row c becomes c·P⁻¹."""
+    n = len(Pinv)
+    return [{i: x for i in range(n) if (x := sum(c * Pinv[j][i] for j, c in row.items()))} for row in rows]
 
 
 def lift_basis(L, lift) -> list[dict[int, Fraction]]:
@@ -659,7 +679,7 @@ def present_by_fractions(L, c: int, lift=None):
     Fraction bracket of its factors' images; the relations are the kernel of
     the resulting map onto L.
     """
-    from nilmult.exactlin import Subspace, _kernel_rows, _Spanner
+    from nilmult.exactlin import Subspace, _kernel_image
     from nilmult.freelie import free_nilpotent
 
     table = fraction_table(L)
@@ -679,15 +699,19 @@ def present_by_fractions(L, c: int, lift=None):
             images.append({})
         else:
             images.append(fraction_bracket(table, images[w.left.key], images[w.right.key]))
-    sp = _Spanner()
-    for r in range(L.dim):
-        sp.insert(int_row({col: img[r] for col, img in enumerate(images) if r in img}))
-    return Subspace._from_rows(F.dim, _kernel_rows(F.dim, sp.canonical())), images
+    # one common denominator keeps the map, so each word takes a unit tag
+    den = math.lcm(*(x.denominator for img in images for x in img.values()))
+    pairs = [({r: int(x * den) for r, x in img.items()}, {col: 1}) for col, img in enumerate(images)]
+    return Subspace._from_rows(F.dim, _kernel_image(pairs, L.dim)[1]), images
 
 
 def upper_centrals_by_fractions(n: int, entries, steps=None):
-    """Z_1, Z_2, ... of an n-dim bracket table, with Fraction ad-rows."""
-    from nilmult.exactlin import Subspace, _kernel_rows, _Spanner
+    """Z_1, Z_2, ... of an n-dim bracket table, with Fraction ad-rows.
+
+    Each term is the null space of the constraint rows, solved as one
+    ``_kernel_image``: unknown c has its column of the rows as its image
+    and e_c as its tag."""
+    from nilmult.exactlin import Subspace, _kernel_image, _Spanner
 
     adrows: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i, j, combo in entries:
@@ -701,7 +725,8 @@ def upper_centrals_by_fractions(n: int, entries, steps=None):
         sp.insert(int_row(row))
     while True:
         constraints = sp.canonical()
-        Z = Subspace._from_rows(n, _kernel_rows(n, constraints))
+        columns = [({e: m[c] for e, m in enumerate(constraints) if c in m}, {c: 1}) for c in range(n)]
+        Z = Subspace._from_rows(n, _kernel_image(columns, len(constraints))[1])
         if steps is None and chain and Z.rank == chain[-1].rank:
             break
         chain.append(Z)
@@ -773,9 +798,11 @@ def epicenter_by_upper_centrals(pres):
 # Chevalley-Eilenberg homology
 
 
-def h2_by_chevalley_eilenberg(L) -> int:
-    """dim H_2(L) = dim ker(d_2: Λ²L → L) - rank(d_3: Λ³L → Λ²L), where
-    d_2(x∧y) = -[x, y] and d_3(x∧y∧z) = -[x,y]∧z + [x,z]∧y - [y,z]∧x."""
+def _chevalley_eilenberg(L):
+    """(pairs, d2, d3): the basis e_i∧e_j, i < j, of Λ²L as a map from
+    (i, j) to its position, and the rows of d_2: Λ²L → L and
+    d_3: Λ³L → Λ²L, where d_2(x∧y) = -[x, y] and
+    d_3(x∧y∧z) = -[x,y]∧z + [x,z]∧y - [y,z]∧x."""
     n = L.dim
     pairs = {p: t for t, p in enumerate(combinations(range(n), 2))}
 
@@ -791,13 +818,64 @@ def h2_by_chevalley_eilenberg(L) -> int:
             for col, x in wedge(L.bracket_basis(a, b), z).items():
                 row[col] = row.get(col, 0) + sign * x
         d3.append(row)
+    return pairs, d2, d3
+
+
+def h2_by_chevalley_eilenberg(L) -> int:
+    """dim H_2(L) = dim ker(d_2: Λ²L → L) - rank(d_3: Λ³L → Λ²L)."""
+    pairs, d2, d3 = _chevalley_eilenberg(L)
     return len(pairs) - rank_by_integer_elimination(d2) - rank_by_integer_elimination(d3)
 
 
+def exterior_square(L) -> tuple[int, int, list[dict[int, Fraction]]]:
+    """(dim L∧L, dim L², Z^∧(L)) for the exterior square L∧L = Λ²L / im(d_3)
+    and the exterior centre Z^∧(L) = {x : x∧y = 0 in L∧L for every y}, as
+    RREF rows.
+
+    L∧L → L², x∧y ↦ [x, y], is onto with kernel M(L), so
+    dim M(L) = dim L∧L - dim L²; and Z^∧(L) = Z*_1(L) (Niroomand, Parvizi
+    and Russo, 2011).  im(d_3), with the d_3 of ``h2_by_chevalley_eilenberg``,
+    is brought to echelon form by integer elimination, and each e_t∧e_j
+    reduced modulo it, pivot by pivot, to a vector off its pivots; Z^∧(L)
+    is the kernel of t ↦ (e_t∧e_j mod im d_3)_j by ``kernel_by_fractions``.
+    No free algebra and none of nilmult's elimination is involved.
+    """
+    pairs, d2, d3 = _chevalley_eilenberg(L)
+    echelon = sorted(echelon_by_integer_elimination(d3).items())
+
+    def residue(col) -> dict[int, Fraction]:
+        s, v = 1, {col: 1}  # e_col mod im(d_3) is v / s
+        for p, row in echelon:
+            if x := v.get(p):
+                g = math.gcd(row[p], x)
+                a, b = row[p] // g, x // g
+                s *= a
+                v = {k: y for k in v.keys() | row.keys() if (y := a * v.get(k, 0) - b * row.get(k, 0))}
+        return {q: Fraction(y, s) for q, y in v.items()}
+
+    residues = [residue(col) for col in range(len(pairs))]
+    images = []
+    for t in range(L.dim):
+        image = {}
+        for j in range(L.dim):
+            if j != t:
+                sign = 1 if t < j else -1
+                image.update(((j, q), sign * x) for q, x in residues[pairs[min(t, j), max(t, j)]].items())
+        images.append(image)
+    return len(pairs) - len(echelon), rank_by_integer_elimination(d2), kernel_by_fractions(images)
+
+
 def rank_by_integer_elimination(rows) -> int:
-    """Rank of sparse rational rows: each row is cleared of denominators,
-    then reduced against the earlier pivot rows by integer cross-multiples."""
-    pivots: dict[int, dict[int, int]] = {}  # column -> primitive row leading there
+    """Rank of sparse rational rows, by ``echelon_by_integer_elimination``."""
+    return len(echelon_by_integer_elimination(rows))
+
+
+def echelon_by_integer_elimination(rows) -> dict[int, dict[int, int]]:
+    """An echelon basis of the span of sparse rational rows, as pivot column
+    -> primitive integer row leading there: each row is cleared of
+    denominators, then reduced against the earlier pivot rows by integer
+    cross-multiples."""
+    pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         den = math.lcm(*(Fraction(x).denominator for x in row.values()))
         v = {c: int(x * den) for c, x in row.items() if x}
@@ -812,7 +890,7 @@ def rank_by_integer_elimination(rows) -> int:
             v = {k: x for k in v.keys() | p.keys() if (x := a * v.get(k, 0) - b * p.get(k, 0))}
             g = math.gcd(*v.values())
             v = {k: x // g for k, x in v.items()}
-    return len(pivots)
+    return pivots
 
 
 # ---------------------------------------------------------------------------
@@ -844,7 +922,7 @@ def kernel_by_fractions(images) -> list[dict[int, Fraction]]:
 
 def as_scaled_image(image) -> tuple[int, dict]:
     """The pair (s, s * image) for an image of exact values, s the lcm of
-    their denominators: the integer form ``_kernel_of_map`` takes."""
+    their denominators, the integer form of an image."""
     s = math.lcm(*(Fraction(v).denominator for v in image.values()))
     return s, {col: int(Fraction(v) * s) for col, v in image.items()}
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nilmult import exactlin
-from nilmult.exactlin import ContainmentError, Subspace, _as_fraction, _kernel_of_map, _kernel_rows, _Spanner
+from nilmult.exactlin import ContainmentError, Subspace, _as_fraction, _kernel_image, _Spanner
 from nilmult.fdlie import from_free_nilpotent, heisenberg, random_basis_change, upper_centrals
 from nilmult.freelie import free_nilpotent
 from nilmult.multiplier import present, subideal_bracket
@@ -24,8 +24,12 @@ def span(*vectors, dim):
 
 
 def kernel(*equations, dim):
-    """Null space of the equations (rows of coefficients) in Q^dim."""
-    return Subspace._from_rows(dim, _kernel_rows(dim, span(*equations, dim=dim).integer_rows()))
+    """Null space of the equations (rows of coefficients) in Q^dim, as one
+    ``_kernel_image``: unknown c has its column of the cleared equations as
+    its image and e_c as its tag."""
+    rows = span(*equations, dim=dim).integer_rows()
+    pairs = [({e: row[c] for e, row in enumerate(rows) if c in row}, {c: 1}) for c in range(dim)]
+    return Subspace._from_rows(dim, _kernel_image(pairs, len(rows))[1])
 
 
 class TestRref:
@@ -294,11 +298,29 @@ _image = st.dictionaries(
 )
 
 
+def kernel_of_images(images):
+    """Canonical rows of {x : Σ_t x_t · images[t] = 0} by one ``_kernel_image``:
+    the coordinates are numbered in order of appearance, and unknown t's
+    image, cleared to (s_t, s_t · image), is tagged with s_t · e_t, so the
+    tags of the combinations that cancel are the kernel in x.  The tags are
+    independent, so the rank is the number of unknowns."""
+    cols, pairs = {}, []
+    for t, image in enumerate(images):
+        s, row = oracles.as_scaled_image(image)
+        pairs.append(({cols.setdefault(col, len(cols)): v for col, v in row.items()}, {t: s}))
+    rank, rows = _kernel_image(pairs, len(cols))
+    assert rank == len(images)
+    return rows
+
+
 class TestKernelOfMap:
+    """The kernel of a linear map x ↦ Σ_t x_t · images[t], solved as one
+    ``_kernel_image``."""
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_image, max_size=7))
     def test_matches_fraction_gauss_jordan(self, images):
-        rows = _kernel_of_map([oracles.as_scaled_image(image) for image in images])
+        rows = kernel_of_images(images)
         rref = [{t: F(y, r[min(r)]) for t, y in r.items()} for r in rows]
         assert rref == oracles.kernel_by_fractions(images)
         for r in rows:
@@ -310,26 +332,22 @@ class TestKernelOfMap:
             assert not any(image.values())
 
     def test_hand_cases(self):
-        def kernel(images):
-            return _kernel_of_map([oracles.as_scaled_image(image) for image in images])
-
-        assert kernel([]) == []
-        assert kernel([{}, {"a": 0}, {(1, 2): F(0)}]) == [{0: 1}, {1: 1}, {2: 1}]
-        # x0/2 + x1/3 = 0; the scales 2 and 3 are multiplied back
-        assert kernel([{(0, 0): F(1, 2)}, {(0, 0): F(1, 3)}]) == [{0: 2, 1: -3}]
-        # equal scales: the row scaled back is made primitive again
-        assert kernel([{0: F(1, 2)}, {0: F(-1, 2)}, {1: 1}]) == [{0: 1, 1: 1}]
+        assert kernel_of_images([]) == []
+        # explicit zeros are dropped, not inserted
+        assert kernel_of_images([{}, {"a": 0}, {(1, 2): F(0)}]) == [{0: 1}, {1: 1}, {2: 1}]
+        # x0/2 + x1/3 = 0; the scales 2 and 3 sit in the tags
+        assert kernel_of_images([{(0, 0): F(1, 2)}, {(0, 0): F(1, 3)}]) == [{0: 2, 1: -3}]
+        # equal scales: the tagged row comes out primitive
+        assert kernel_of_images([{0: F(1, 2)}, {0: F(-1, 2)}, {1: 1}]) == [{0: 1, 1: 1}]
         # an int value is scaled with the Fraction values of its unknown
-        assert kernel([{1: 1, 2: 1}, {1: 1, 2: F(1, 2)}]) == []
+        assert kernel_of_images([{1: 1, 2: 1}, {1: 1, 2: F(1, 2)}]) == []
 
-    def test_stops_at_full_rank(self, monkeypatch):
-        # the rows of "a" and "c", the first two, pin both unknowns to 0,
-        # so the row of "b" is not inserted
-        inserted = []
-        insert = _Spanner.insert
-        monkeypatch.setattr(_Spanner, "insert", lambda self, v: inserted.append(dict(v)) or insert(self, v))
-        assert _kernel_of_map([(1, {"a": 1, "c": 1}), (1, {"b": 1, "c": 2})]) == []
-        assert inserted == [{0: 1}, {0: 1, 1: 2}]
+    def test_rank_counts_dependent_tags(self):
+        # two equal rows: their difference cancels on the image and on the
+        # tag alike, so no row comes out and the rank falls to 1
+        assert _kernel_image([({0: 1}, {0: 1}), ({0: 1}, {0: 1})], 1) == (1, [])
+        # the tags need not be units: the cancelling combination's tag
+        assert _kernel_image([({0: 2}, {0: 1, 1: 1}), ({0: 1}, {1: 1})], 1) == (2, [{0: 1, 1: -1}])
 
 
 # independent rows over eight columns, then combinations of them
@@ -541,6 +559,8 @@ def _trusted_subspaces():
     n24 = random_basis_change(from_free_nilpotent(free_nilpotent(2, 4)), rng)
     yield "kernel", kernel([1, 1, 1], dim=3)
     yield "kernel 2x4", kernel([1, 2, 0, 3], [0, 1, 1, 1], dim=4)
+    for c in (1, 2):
+        yield f"epicenter H(2) random basis c={c}", present(h2, c).epicenter
     for L in (h2, n24):
         for t, Z in enumerate(upper_centrals(L)):
             yield f"upper_centrals {L.name} Z{t + 1}", Z

@@ -630,20 +630,23 @@ class TestEpicenterSolve:
         assert calls["upper_centrals"] == 0 and calls["reduce"] == 0
         assert 0 < calls["residue"] <= 9 * 8**2
 
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_capable_solve_stops_at_full_rank(self, n, monkeypatch):
-        # A(n) is 2-capable: the constraints on its n unknowns reach rank n
-        # before they run out, and the rest of them are not inserted
+    @pytest.mark.parametrize("L, c", [
+        (abelian(3), 2), (abelian(4), 2), (abelian(5), 2), (abelian(5), 3),
+        (fdlie.random_basis_change(heisenberg(3), random.Random(24), name="moved-H(3)"), 2),
+    ], ids=["A(3)-2", "A(4)-2", "A(5)-2", "A(5)-3", "moved-H(3)-2"])
+    def test_solve_inserts_one_row_per_word(self, L, c, monkeypatch):
+        # with the closure built, the epicenter inserts the tagged row of
+        # each of the dim L words off R_{≤k} once, and no other row: no
+        # constraint row per coordinate, no push into L
         clear_caches()
-        pres = present(abelian(n), 2)
+        pres = present(L, c)
         pres.closure
-        images, inserts = [], []
-        kernel_of_map, insert = multiplier._kernel_of_map, exactlin._Spanner.insert
-        monkeypatch.setattr(multiplier, "_kernel_of_map", lambda given: images.extend(given) or kernel_of_map(given))
+        inserts = []
+        insert = exactlin._Spanner.insert
         monkeypatch.setattr(exactlin._Spanner, "insert", lambda self, v: inserts.append(v) or insert(self, v))
-        assert pres.epicenter.is_zero
-        constraints = {col for _, image in images for col, v in image.items() if v}
-        assert len(images) == n and n <= len(inserts) < len(constraints)
+        want = series(L).gamma(2) if L.name == "moved-H(3)" else Subspace.zero(L.dim)
+        assert pres.epicenter == want
+        assert len(inserts) == L.dim
         clear_caches()
 
     def test_lost_rank_raises_presentation_error(self):
@@ -662,39 +665,77 @@ class TestEpicenterSolve:
 
 
 _FREE_QUOTIENT_SHAPES = {(d, k): fdlie.from_free_nilpotent(FreeNilpotentAlgebra(d, k), f"N({d},{k})")
-                         for d, k in ((2, 3), (3, 2), (2, 4))}
+                         for d, k in ((2, 3), (3, 2), (2, 4), (4, 2), (3, 3))}
 
 
 @st.composite
-def generated_algebras(draw) -> LieAlgebra:
-    """N(d, k)/I for (d, k) in {(2, 3), (3, 2), (2, 4)} and I a random line
-    of its centre, in a random basis: dimension 4, 5 or 7."""
+def generated_algebras(draw) -> tuple[LieAlgebra, int]:
+    """(N(d, k)/I, s) for (d, k) in {(2, 3), (3, 2), (2, 4), (4, 2), (3, 3)}
+    and I spanned by 1 to dim Z − 1 random vectors of its centre Z: the
+    algebra, of dimension 4 to 13, and the seed of the random basis the
+    tests move it to.  The larger I, the smaller L², and the more often L is
+    not capable (N(4,2) modulo a hyperplane of Z can be H(2))."""
     N = _FREE_QUOTIENT_SHAPES[draw(st.sampled_from(sorted(_FREE_QUOTIENT_SHAPES)))]
     centre = series(N).upper[0].integer_rows()
-    coefficients = draw(st.lists(st.integers(-3, 3), min_size=len(centre), max_size=len(centre)).filter(any))
-    line = {}
-    for y, row in zip(coefficients, centre):
-        for j, x in row.items():
-            line[j] = line.get(j, 0) + y * x
-    L = fdlie.quotient(N, Subspace(N.dim, [line]))
-    return fdlie.random_basis_change(L, random.Random(draw(st.integers(0, 2**32))), name=f"{N.name}/{line}")
+    coefficients = st.lists(st.integers(-3, 3), min_size=len(centre), max_size=len(centre)).filter(any)
+    vectors = []
+    for _ in range(draw(st.integers(1, len(centre) - 1))):
+        vector = {}
+        for y, row in zip(draw(coefficients), centre):
+            for j, x in row.items():
+                vector[j] = vector.get(j, 0) + y * x
+        vectors.append(vector)
+    return fdlie.quotient(N, Subspace(N.dim, vectors)), draw(st.integers(0, 2**32))
 
 
 class TestGeneratedAlgebras:
-    """Invariants on quotients of free nilpotent algebras by a central line,
-    each a different algebra with its own memo entry."""
+    """Invariants on quotients of free nilpotent algebras by a central ideal,
+    in a random basis, each a different algebra with its own memo entry."""
 
-    @settings(max_examples=50, deadline=None)
-    @given(generated_algebras(), st.integers(0, 2**32))
-    def test_multiplier_verdicts_and_epicenters(self, L, seed):
-        assert L.dim <= 8
-        assert nilpotent_multiplier(L, 1).dimension == oracles.h2_by_chevalley_eilenberg(L), L.name
+    @staticmethod
+    def check(U, basis_seed, seed):
+        L = fdlie.random_basis_change(U, random.Random(basis_seed), name=f"{U.name}~{basis_seed}")
+        # M(L) and Z*_1(L) against the exterior square L∧L, which builds no
+        # free algebra: dim M(L) = dim L∧L − dim L² and Z*_1(L) = Z^∧(L).
+        # It is taken on U, whose table is sparse, and Z^∧(U) moved to L's
+        # basis by the P⁻¹ of the same seed
+        wedge, derived, centre = oracles.exterior_square(U)
+        _, Pinv = oracles.random_basis_matrices(U.dim, random.Random(basis_seed))
+        assert nilpotent_multiplier(L, 1).dimension == wedge - derived, L.name
+        assert z_star(L, 1) == Subspace(L.dim, oracles.in_basis(centre, Pinv)), L.name
         # basis words depend on the lift, the rest of the report does not
         moved = fdlie.random_basis_change(L, random.Random(seed))
         want, got = report(L, 2), report(moved, 2)
         for key in ("dim_multiplier", "bounds", "capable", "two_capable"):
             assert got[key] == want[key], (L.name, key)
         assert z_star(L, 2).contains_subspace(z_star(L, 1)), L.name
+        return L
+
+    @settings(max_examples=50, deadline=None)
+    @given(generated_algebras(), st.integers(0, 2**32))
+    def test_multiplier_verdicts_and_epicenters(self, drawn, seed):
+        U, basis_seed = drawn
+        assert U.dim <= 13
+        self.check(U, basis_seed, seed)
+
+    @pytest.mark.parametrize("form, shape, capable", [
+        (("[x2,x1]", "[x4,x3]"), (2, 0), False),
+        (("[x2,x1]",), (1, 2), True),
+    ])
+    def test_a_hyperplane_of_the_centre_can_leave_a_non_capable_quotient(self, form, shape, capable):
+        # N(4,2) modulo the kernel of the form on its centre Z = L² that is
+        # 1 on the listed words and 0 on the others: [x2,x1]* + [x4,x3]*,
+        # of rank 4 on the generators, leaves H(2), whose Z*_1 is its
+        # derived line; [x2,x1]*, of rank 2, leaves the capable H(1)⊕A(2)
+        N = _FREE_QUOTIENT_SHAPES[4, 2]
+        words = {label: j for j, label in enumerate(N.basis_labels)}
+        first, *rest = [words[w] for w in form]
+        kernel = [{words[w]: 1} for w in N.basis_labels[4:] if w not in form]
+        kernel += [{first: 1, j: -1} for j in rest]
+        L = self.check(fdlie.quotient(N, Subspace(N.dim, kernel)), 42, 7)
+        assert fdlie.recognize_derived_dim_one(L) == shape
+        assert is_capable(L) == capable
+        assert z_star(L, 1) == (Subspace.zero(L.dim) if capable else series(L).gamma(2))
 
 
 class TestCentralLineCriterion:
@@ -791,13 +832,13 @@ class TestClosureMemo:
 
     def test_report_solves_the_relations_once(self, cold, monkeypatch):
         sizes = []
-        kernel_of_map = multiplier._kernel_of_map
+        kernel_image = multiplier._kernel_image
 
-        def logged(images):
-            sizes.append(len(images))
-            return kernel_of_map(images)
+        def logged(pairs, offset):
+            sizes.append(len(pairs))
+            return kernel_image(pairs, offset)
 
-        monkeypatch.setattr(multiplier, "_kernel_of_map", logged)
+        monkeypatch.setattr(multiplier, "_kernel_image", logged)
         report(heisenberg(4), 2)
         # R_{≤2} on the 8 + 28 words of length <= 2, shared by c = 1 and 2,
         # then Z*_1 and Z*_2, each on the dim L = 9 words off R_{≤2}
@@ -938,6 +979,20 @@ class TestChevalleyEilenberg:
         for L in truncation_shapes():
             want = oracles.h2_by_chevalley_eilenberg(L)
             assert nilpotent_multiplier(L, 1).dimension == want, L.name
+
+
+class TestExteriorSquare:
+    """dim M(L) = dim L∧L − dim L² and Z*_1(L) = Z^∧(L), the exterior
+    centre, read off the exterior square L∧L alone."""
+
+    def test_schur_multiplier_and_epicenter(self):
+        non_capable = 0
+        for L in TestCentralLineCriterion.algebras():
+            wedge, derived, centre = oracles.exterior_square(L)
+            assert nilpotent_multiplier(L, 1).dimension == wedge - derived, L.name
+            assert z_star(L, 1) == Subspace(L.dim, centre), L.name
+            non_capable += bool(centre)
+        assert non_capable >= 5
 
 
 class TestBeyondThePaper:
