@@ -22,7 +22,7 @@ in the tag columns are the tags of the combinations whose images cancel.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # fractions is imported where a Fraction is built or checked
@@ -51,20 +51,11 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"exact coefficient expected (int or Fraction), got {type(x).__name__}")
 
 
-def _gcd_all(values: Iterable[int]) -> int:
-    g = 0
-    for v in values:
-        g = math.gcd(g, v)
-        if g == 1:
-            return 1
-    return g
-
-
 def _primitive(row: IntRow) -> IntRow:
     """Divide by the gcd and make the leading (lowest-index) entry positive."""
     if not row:
         return row
-    g = _gcd_all(row.values())
+    g = math.gcd(*row.values())
     if row[min(row)] < 0:
         g = -g
     if g != 1:
@@ -144,7 +135,7 @@ def _eliminate(v: IntRow, row: IntRow, p: int) -> IntRow:
             out[c] = n
         else:
             out.pop(c, None)
-    g = _gcd_all(out.values())
+    g = math.gcd(*out.values())
     if g > 1:
         out = {c: x // g for c, x in out.items()}
     return out
@@ -194,7 +185,7 @@ class _Spanner:
 
 
 def _kernel_image(
-    pairs: Iterable[tuple[Mapping[int, int], Mapping[int, int]]], offset: int
+    pairs: Sequence[tuple[Mapping[int, int], Mapping[int, int]]], offset: int
 ) -> tuple[int, list[IntRow]]:
     """(rank, rows) for the tagged rows image_t ∪ (offset + tag_t) of the
     pairs (image_t, tag_t), image columns below ``offset``: rows is the
@@ -204,10 +195,14 @@ def _kernel_image(
     The canonical rows with a pivot at or past ``offset`` are zero on every
     image column, so they span exactly the tags of the combinations whose
     images cancel; shifted back, they are already canonical.  Entries that
-    cancelled to an explicit zero are dropped.
+    cancelled to an explicit zero are dropped.  The pairs are inserted last
+    first: when the tags lead with rising columns, as those of R_{≤k}, of
+    the upper central series and of ``intersect`` do, a row whose image
+    reduces to zero takes a pivot in which no stored row has an entry, so
+    no stored row is cleared for it.
     """
     sp = _Spanner()
-    for image, tag in pairs:
+    for image, tag in reversed(pairs):
         row = {c: v for c, v in image.items() if v}
         row.update((offset + c, v) for c, v in tag.items() if v)
         sp.insert(row)

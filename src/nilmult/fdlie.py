@@ -135,26 +135,50 @@ class LieAlgebra:
             yield i, j, {k: Fraction(v, self.den) for k, v in combo.items()}
 
     def _check_jacobi(self):
-        # den²·defect of (i, j, k) vanishes unless one of its pairs is stored;
-        # sorted, the first failing triple is the first of the full scan
-        n = self.dim
+        """Raise :class:`ValidationError` on the first basis triple, in the
+        order of the full scan, whose Jacobi sum is non-zero.
+
+        den²·defect of (i, j, k) vanishes unless one of its pairs is stored,
+        so only those triples are visited, sorted.  Each stored row
+        den·[e_a, e_c] is packed into one int, entry q in a signed field of
+        width W at bit W·q, so [[e_i, e_j], e_k] costs one multiply-add per
+        entry of den·[e_i, e_j].  W = (3·w·B²).bit_length() + 1 for w the
+        longest row and B the largest |entry|: a field of a triple's packed
+        sum adds three terms of at most w products of two entries, so it
+        stays below 2^(W−1) in size, and the sum is zero exactly when every
+        field is, which the lowest non-zero field would otherwise prevent.
+        """
+        num, n = self._num, self.dim
+        if not num:
+            return
+        w = max(map(len, num.values()))
+        B = max(abs(v) for row in num.values() for v in row.values())
+        width = (3 * w * B * B).bit_length() + 1
+        # packed[c][a] = den·[e_a, e_c], packed; sparse, like the table
+        packed: list[dict[int, int]] = [{} for _ in range(n)]
+        for (a, b), row in num.items():
+            p = sum(v << (width * q) for q, v in row.items())
+            packed[b][a] = p
+            packed[a][b] = -p
         triples = set()
-        for a, b in self._num:
+        for a, b in num:
             triples.update(
                 (t, a, b) if t < a else (a, t, b) if t < b else (a, b, t)
                 for t in range(n) if t != a and t != b
             )
-        num = self._num
+        get = num.get
         for i, j, k in sorted(triples):
-            acc: IntRow = {}
             # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] − [[e_i, e_k], e_j], each
             # inner bracket read off the table as stored, i < j < k
+            s = 0
             for pair, c, sign in (((i, j), k, 1), ((j, k), i, 1), ((i, k), j, -1)):
-                ab = num.get(pair)
+                ab = get(pair)
                 if ab:
-                    for q, w in self._ibracket(ab, {c: 1}).items():
-                        acc[q] = acc.get(q, 0) + sign * w
-            if any(acc.values()):
+                    col = packed[c]
+                    for a, v in ab.items():
+                        if a in col:
+                            s += sign * v * col[a]
+            if s:
                 raise ValidationError(
                     f"Jacobi identity fails on basis triple ({i + 1},{j + 1},{k + 1})",
                     (i + 1, j + 1, k + 1),
@@ -296,7 +320,7 @@ def _generating_units(L: LieAlgebra, derived: Subspace) -> list[int]:
     and so generate L when L is nilpotent; the units off the pivots of the
     subalgebra those generate complete them in any case.  That subalgebra
     is the span of the left-normed brackets of the units, closed under
-    [·, e_j] for each unit e_j; the closure stops once it is all of L.
+    [·, e_j] for each unit e_j; it stops inserting once it is all of L.
     """
     n = L.dim
     units = [j for j in range(n) if j not in derived.pivots]
@@ -310,6 +334,8 @@ def _generating_units(L: LieAlgebra, derived: Subspace) -> list[int]:
             for j in units:
                 prod = L._ibracket(row, {j: 1})
                 if prod and sp.insert(prod):
+                    if sp.rank == n:
+                        return units
                     grown.append(prod)
         frontier = grown
     return units + [j for j in range(n) if j not in sp.rows]

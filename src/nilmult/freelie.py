@@ -20,7 +20,7 @@ import math
 from collections import OrderedDict
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .exactlin import IntRow, _primitive, _Spanner
+from .exactlin import IntRow, _Spanner
 
 DIM_CAP = 5000
 
@@ -392,6 +392,6 @@ def span_bracket_rows(F: FreeNilpotentAlgebra, rows: Sequence[IntRow], top: int)
     block = range(starts[lightest + 1], starts[top + 1])
     sp = _Spanner()
     while products:  # popped, so each product is freed once inserted
-        if sp.insert(_primitive(products.pop())) and sp.rank == len(block):
+        if sp.insert(products.pop()) and sp.rank == len(block):
             return [{j: 1} for j in block] + carried
     return sp.canonical() + carried

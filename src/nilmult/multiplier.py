@@ -28,10 +28,15 @@ dim M(H(m)) = 2m² − m − 1 says that C_1 = γ_3(F), so C_t = γ_{t+2}(F) at
 every t, and M^(c)(H(m)) = γ_{c+1}(F)/γ_{c+2}(F) for c >= 2.
 
 R_{≤k} and the epicenter are each one tagged solve, ``_kernel_image``.
-The epicenter is solved on dim L unknowns: R/[R,F,…,F] is central of
-depth c, so only the words that map onto a basis of L need testing, and
-only against generators, which costs dim L · d^c brackets for d generators;
-each word is tagged with its image in L, so the solve yields Z*_c(L) itself.
+The generators map to units off the pivots of L², and a vector of L² is
+fixed by its entries there, so R_{≤k} is solved on the words of length 2
+to k, each image read at those pivots.  That the words of length k + 1 map
+to 0 is checked on the spans of the images, stratum by stratum, not word by
+word (``_check_class``).  The epicenter is solved on dim L unknowns:
+R/[R,F,…,F] is central of depth c, so only the words that map onto a basis
+of L need testing, and only against generators, which costs dim L · d^c
+brackets for d generators; each word is tagged with its image in L, so the
+solve yields Z*_c(L) itself.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from bisect import bisect_left
 from functools import cached_property
 
 from ._record import Record
-from .exactlin import ContainmentError, IntRow, Subspace, _kernel_image
+from .exactlin import ContainmentError, IntRow, Subspace, _kernel_image, _Spanner
 from .fdlie import LieAlgebra, nilpotent_series
 from .freelie import (
     DIM_CAP, FreeNilpotentAlgebra, _check_dim_cap, _memoised, free_nilpotent, span_bracket_rows,
@@ -243,37 +248,66 @@ def present(L: LieAlgebra, c: int, *, dim_cap: int = DIM_CAP) -> Presentation:
 
 def _chain(L: LieAlgebra, c: int, dim_cap: int) -> _Chain:
     """The images and R_{≤k} of L, solved in F(d, k + c) for the weight c
-    asked first, so that its cap is checked before any work."""
+    asked first, so that its cap is checked before any work.  Only the
+    words of length <= k are bracketed in L; length k + 1 is checked on
+    spans, and the relation solve reads only the pivots of L²."""
     rep = nilpotent_series(L)
     k = rep.nilpotency_class
     derived = rep.gamma(2) if k >= 1 else Subspace.zero(L.dim)
     d = L.dim - derived.rank
     gens = [{col: 1} for col in range(L.dim) if col not in derived.pivots]
     F = free_nilpotent(d, k + c, dim_cap)
-    # brackets of length > k die in an algebra of class k; series(L) has
-    # shown that, so only length k + 1 is computed, as a check, and the
-    # kernel is solved on the words of length <= k alone
-    short, live = F.stratum_starts[k + 1], F.stratum_starts[k + 2]
+    starts = F.stratum_starts
+    short = starts[k + 1]
     # ints[w]: den^(l-1) times the image of w, of length l; scaled by
     # den^(k-l) they share the factor den^(k-1), so the kernel is solved on
     # integers
     ints: list[IntRow] = []
-    for w in F.basis[:live]:
-        img = gens[w.gen] if w.is_generator else L._ibracket(ints[w.left.key], ints[w.right.key])
-        if img and w.length > k:
-            raise PresentationError(
-                f"{L.name}: the image of the length-{w.length} word {w} is non-zero "
-                f"in an algebra of class {k}"
-            )
-        ints.append(img)
+    for w in F.basis[:short]:
+        ints.append(gens[w.gen] if w.is_generator else L._ibracket(ints[w.left.key], ints[w.right.key]))
+    # brackets of length > k die in an algebra of class k; series(L) has
+    # shown that, so length k + 1 is only checked, on the images' spans
+    _check_class(L, k, [ints[starts[a]:starts[a + 1]] for a in range(1, k + 1)])
     images = tuple(
         {r: v * L.den ** (k - w.length) for r, v in img.items()}
         for w, img in zip(F.basis[:short], ints)
     )
-    # each word is tagged with itself, so the solve gives R_{≤k} in F's coordinates
-    _, relations = _kernel_image([(img, {w: 1}) for w, img in enumerate(images)], L.dim)
-    short_relations = Subspace._from_rows(F.dim, relations)
+    # A generator's image is a unit off the pivots of L², and a vector of L²
+    # is fixed by its entries at those pivots.  So no relation involves a
+    # generator, and R_{≤k} is the kernel on the words of length 2..k with
+    # each image read at the pivots alone; each word is tagged with itself,
+    # so the solve gives R_{≤k} in F's coordinates
+    pivots = set(derived.pivots)
+    pairs = [({r: v for r, v in img.items() if r in pivots}, {w: 1}) for w, img in enumerate(images[d:], d)]
+    short_relations = Subspace._from_rows(F.dim, _kernel_image(pairs, L.dim)[1])
     return _Chain(d, k, images, short_relations)
+
+
+def _check_class(L: LieAlgebra, k: int, strata: list[list[IntRow]]) -> None:
+    """PresentationError unless every word of length k + 1 maps to 0 in L,
+    ``strata[a − 1]`` holding the images of the words of length a <= k.
+
+    Each such word is a bracket [u, v] of words of lengths a >= b with
+    a + b = k + 1, and each such bracket is a combination of such words.  So
+    they all map to 0 exactly when every [S_a, S_b] = 0, S_a the span of the
+    images of the words of length a, and by bilinearity the check brackets
+    the canonical bases of S_a and S_b, not every word.
+    """
+    bases = []
+    for images in strata:
+        sp = _Spanner()
+        for img in images:
+            sp.insert(img)
+        bases.append(sp.canonical())
+    for a in range(k, k // 2, -1):
+        b = k + 1 - a
+        for x in bases[a - 1]:
+            for y in bases[b - 1]:
+                if L._ibracket(x, y):
+                    raise PresentationError(
+                        f"{L.name}: a length-{k + 1} bracket, of the images of words of lengths "
+                        f"{a} and {b}, is non-zero in an algebra of class {k}"
+                    )
 
 
 def subideal_bracket(S: Subspace, ambient: FreeNilpotentAlgebra, depth: int) -> Subspace:

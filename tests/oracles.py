@@ -41,6 +41,11 @@ reaches the same numbers by a structurally different route:
   joins to it, and ``jacobi_failure_by_brackets`` the Jacobi scan that
   expanded each term with two table brackets; the generating-set series
   and the check that reads each inner bracket off the table replaced them.
+* ``relations_by_all_words`` is the relation solve that the solve on the
+  words of length 2 to k, read at the pivots of L², replaced: every word of
+  length <= k against its whole image, inserted first to last.
+  ``class_check_by_words`` is the scan of every word of length k + 1 that
+  the check on the spans of the strata replaced.
 * ``random_lift`` and ``truncation_shapes`` are input generators, not
   references: a random generating lift of L for the lift-invariance tests,
   drawn with nilmult's own series and elimination engine, and nine
@@ -703,6 +708,40 @@ def present_by_fractions(L, c: int, lift=None):
     den = math.lcm(*(x.denominator for img in images for x in img.values()))
     pairs = [({r: int(x * den) for r, x in img.items()}, {col: 1}) for col, img in enumerate(images)]
     return Subspace._from_rows(F.dim, _kernel_image(pairs, L.dim)[1]), images
+
+
+def relations_by_all_words(pres):
+    """R_{≤k} of a presentation by the all-words tagged solve: every word of
+    length <= k, the generators too, tagged with itself against its whole
+    integer image, inserted first to last into one ``_Spanner``; the rows
+    that start in the tag columns, shifted back, are R_{≤k} in F's
+    coordinates."""
+    from nilmult.exactlin import Subspace, _Spanner
+
+    offset = pres.algebra.dim
+    sp = _Spanner()
+    for w, image in enumerate(pres.images):
+        sp.insert({**image, offset + w: 1})
+    rows = [{c - offset: v for c, v in r.items()} for r in sp.canonical() if min(r) >= offset]
+    return Subspace._from_rows(pres.ambient.dim, rows)
+
+
+def class_check_by_words(L, k: int):
+    """The first Hall word of length k + 1 whose image in L is non-zero, as
+    text, or None: the per-word scan, each word's image the bracket of its
+    factors' images, the generators sent to the units off the pivots of L²."""
+    from nilmult.fdlie import series
+    from nilmult.freelie import free_nilpotent
+
+    derived = series(L).gamma(2)
+    gens = [{col: 1} for col in range(L.dim) if col not in derived.pivots]
+    images = []
+    for w in free_nilpotent(len(gens), k + 1).basis:
+        image = gens[w.gen] if w.is_generator else L._ibracket(images[w.left.key], images[w.right.key])
+        if image and w.length == k + 1:
+            return str(w)
+        images.append(image)
+    return None
 
 
 def upper_centrals_by_fractions(n: int, entries, steps=None):

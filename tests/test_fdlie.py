@@ -688,3 +688,60 @@ class TestJacobiParity:
                 LieAlgebra("p", L.basis_labels, table)
             assert (str(exc.value), exc.value.location) == expected, t
         assert 100 <= rejected <= 120
+
+
+class TestPackedJacobi:
+    """The packed check against the rational full scan, on random-basis
+    tables scaled to entries of each size the packed fields must hold: each
+    table as it is, then with one entry moved in the lowest field (column 0)
+    or in the highest (column n − 1)."""
+
+    MAGNITUDES = (1, 2**62, 2**64, 2**200)
+
+    def test_matches_full_scan_at_every_magnitude(self):
+        rng = random.Random(2525)
+        shapes = [
+            heisenberg(2),
+            direct_sum(heisenberg(1), abelian(2)),
+            from_free_nilpotent(freelie.free_nilpotent(2, 3)),
+            from_free_nilpotent(freelie.free_nilpotent(3, 2)),
+        ]
+        outcomes = {True: 0, False: 0}
+        opposite = set()  # magnitudes with opposite signs in adjacent fields
+        for L in shapes:
+            n = L.dim
+            for M in self.MAGNITUDES:
+                base = {(i, j): {k: v * M for k, v in combo.items()}
+                        for i, j, combo in random_basis_change(L, rng).entries()}
+                if any(combo.get(q, 0) * combo.get(q + 1, 0) < 0 for combo in base.values() for q in range(n - 1)):
+                    opposite.add(M)
+                tables = [base]
+                for q in (0, n - 1):
+                    for delta in (1, M):
+                        table = {pair: dict(combo) for pair, combo in base.items()}
+                        combo = table.setdefault(tuple(sorted(rng.sample(range(n), 2))), {})
+                        combo[q] = combo.get(q, 0) + rng.choice((-1, 1)) * delta
+                        tables.append(table)
+                for t, table in enumerate(tables):
+                    expected = oracles.jacobi_failure_by_full_scan(oracles.unchecked("p", L.basis_labels, table))
+                    outcomes[expected is None] += 1
+                    if expected is None:
+                        LieAlgebra("p", L.basis_labels, table)
+                        continue
+                    with pytest.raises(ValidationError) as exc:
+                        LieAlgebra("p", L.basis_labels, table)
+                    assert exc.value.location == expected, (L, M, t)
+        assert opposite == set(self.MAGNITUDES)
+        # every unmoved table is valid, and every moved one fails
+        assert outcomes == {True: 16, False: 64}
+
+    @pytest.mark.parametrize("s", [3, 32, 100])
+    def test_a_defect_that_narrow_fields_would_cancel(self, s):
+        # [e1, e2] = e1 + 2^s·e2 and [e1, e3] = 2^s·e1 + e3 give the triple
+        # (1,2,3) the Jacobi sum (0, −2^(2s), 1), which packs to 0 in fields
+        # of 2s bits; the fields of the check are wider than the sum can reach
+        table = {(0, 1): {0: 1, 1: 2**s}, (0, 2): {0: 2**s, 2: 1}}
+        assert oracles.jacobi_failure_by_full_scan(oracles.unchecked("p", "abc", table)) == (1, 2, 3)
+        with pytest.raises(ValidationError) as exc:
+            LieAlgebra("p", ("a", "b", "c"), table)
+        assert exc.value.location == (1, 2, 3)

@@ -126,6 +126,74 @@ class TestPresent:
         clear_caches()
 
     @staticmethod
+    def claim_class(monkeypatch, k):
+        """Make ``present`` read every algebra's own lower series as class k."""
+        monkeypatch.setattr(multiplier, "nilpotent_series", lambda L: fdlie.SeriesReport(series(L).lower, k, L))
+        clear_caches()
+
+    @staticmethod
+    def strata(L):
+        """The images of the words of each length 1..k of L's presentation."""
+        pres = present(L, 1)
+        starts = pres.ambient.stratum_starts
+        return [list(pres.images[starts[a]:starts[a + 1]]) for a in range(1, pres.k + 1)]
+
+    def test_wrong_even_length_raises_presentation_error(self, monkeypatch):
+        # N(3,4) read as class 3: length 4 pairs the lengths (3, 1) and
+        # (2, 2), and [S_2, S_2] holds [[x2,x1],[x3,x1]] ≠ 0
+        L = fdlie.random_basis_change(fdlie.from_free_nilpotent(free_nilpotent(3, 4), "N(3,4)"), random.Random(3))
+        strata = self.strata(L)[:3]
+        assert oracles.class_check_by_words(L, 3) is not None
+        with pytest.raises(PresentationError, match="length-4 bracket, of the images of words of lengths 3 and 1"):
+            multiplier._check_class(L, 3, strata)
+        # without S_3, the (2, 2) bracket alone fails
+        with pytest.raises(PresentationError, match="lengths 2 and 2"):
+            multiplier._check_class(L, 3, [strata[0], strata[1], []])
+        self.claim_class(monkeypatch, 3)
+        with pytest.raises(PresentationError, match="length-4"):
+            present(L, 1)
+        clear_caches()
+
+    def test_only_the_k_1_bracket_fails(self, monkeypatch):
+        # N(2,4) read as class 3: S_2 is the line of [x2,x1], so
+        # [S_2, S_2] = 0, and only the (3, 1) bracket is non-zero
+        L = fdlie.random_basis_change(fdlie.from_free_nilpotent(free_nilpotent(2, 4), "N(2,4)"), random.Random(4))
+        strata = self.strata(L)[:3]
+        assert oracles.class_check_by_words(L, 3) is not None
+        multiplier._check_class(L, 3, [[], strata[1], strata[2]])
+        self.claim_class(monkeypatch, 3)
+        with pytest.raises(PresentationError, match="length-4 bracket, of the images of words of lengths 3 and 1"):
+            present(L, 1)
+        clear_caches()
+
+    def test_class_check_matches_word_scan(self, monkeypatch):
+        # read as each class up to its own, an algebra fails the check on
+        # spans exactly when some word of length k + 1 has a non-zero image:
+        # the 24 claims below the class of the 42 in all
+        failed = 0
+        for L in oracles.truncation_shapes():
+            for k in range(1, series(L).nilpotency_class + 1):
+                self.claim_class(monkeypatch, k)
+                word = oracles.class_check_by_words(L, k)
+                if word is None:
+                    present(L, 1)
+                    continue
+                failed += 1
+                with pytest.raises(PresentationError, match=f"length-{k + 1}"):
+                    present(L, 1)
+        clear_caches()
+        assert failed == 24
+
+    def test_short_relations_match_all_words_solve(self, corpus):
+        # R_{≤k} solved on the words of length 2..k at the pivots of L²
+        # equals the solve on every word of length <= k with its whole image
+        shapes = list(corpus) + oracles.truncation_shapes() + self.moved_shapes(random.Random(923))
+        for L in shapes:
+            for c in (1, 2):
+                pres = present(L, c)
+                assert pres.short_relations == oracles.relations_by_all_words(pres), (L.name, c)
+
+    @staticmethod
     def moved_shapes(rng):
         shapes = [
             heisenberg(1),
@@ -671,15 +739,18 @@ _FREE_QUOTIENT_SHAPES = {(d, k): fdlie.from_free_nilpotent(FreeNilpotentAlgebra(
 @st.composite
 def generated_algebras(draw) -> tuple[LieAlgebra, int]:
     """(N(d, k)/I, s) for (d, k) in {(2, 3), (3, 2), (2, 4), (4, 2), (3, 3)}
-    and I spanned by 1 to dim Z − 1 random vectors of its centre Z: the
-    algebra, of dimension 4 to 13, and the seed of the random basis the
-    tests move it to.  The larger I, the smaller L², and the more often L is
-    not capable (N(4,2) modulo a hyperplane of Z can be H(2))."""
+    and I spanned by dim Z − 1 or dim Z − 2 (at least 1) random vectors of
+    its centre Z: the algebra, of dimension 4 to 13 (4 to 8 when those
+    vectors are independent), and the seed of the
+    random basis the tests move it to.  I is drawn from the top, of
+    codimension 1 or 2 in Z when its vectors are independent, so L² is
+    small and L is often not capable (N(4,2) modulo a hyperplane of Z can
+    be H(2))."""
     N = _FREE_QUOTIENT_SHAPES[draw(st.sampled_from(sorted(_FREE_QUOTIENT_SHAPES)))]
     centre = series(N).upper[0].integer_rows()
     coefficients = st.lists(st.integers(-3, 3), min_size=len(centre), max_size=len(centre)).filter(any)
     vectors = []
-    for _ in range(draw(st.integers(1, len(centre) - 1))):
+    for _ in range(max(len(centre) - draw(st.integers(1, 2)), 1)):
         vector = {}
         for y, row in zip(draw(coefficients), centre):
             for j, x in row.items():
@@ -694,7 +765,10 @@ class TestGeneratedAlgebras:
 
     @staticmethod
     def check(U, basis_seed, seed):
-        L = fdlie.random_basis_change(U, random.Random(basis_seed), name=f"{U.name}~{basis_seed}")
+        # through JSON, so that the Jacobi check of ``loads`` reads each
+        # random-basis table with its denominators
+        L = fdlie.loads(fdlie.dumps(
+            fdlie.random_basis_change(U, random.Random(basis_seed), name=f"{U.name}~{basis_seed}")))
         # M(L) and Z*_1(L) against the exterior square L∧L, which builds no
         # free algebra: dim M(L) = dim L∧L − dim L² and Z*_1(L) = Z^∧(L).
         # It is taken on U, whose table is sparse, and Z^∧(U) moved to L's
@@ -704,7 +778,7 @@ class TestGeneratedAlgebras:
         assert nilpotent_multiplier(L, 1).dimension == wedge - derived, L.name
         assert z_star(L, 1) == Subspace(L.dim, oracles.in_basis(centre, Pinv)), L.name
         # basis words depend on the lift, the rest of the report does not
-        moved = fdlie.random_basis_change(L, random.Random(seed))
+        moved = fdlie.loads(fdlie.dumps(fdlie.random_basis_change(L, random.Random(seed))))
         want, got = report(L, 2), report(moved, 2)
         for key in ("dim_multiplier", "bounds", "capable", "two_capable"):
             assert got[key] == want[key], (L.name, key)
@@ -840,9 +914,10 @@ class TestClosureMemo:
 
         monkeypatch.setattr(multiplier, "_kernel_image", logged)
         report(heisenberg(4), 2)
-        # R_{≤2} on the 8 + 28 words of length <= 2, shared by c = 1 and 2,
-        # then Z*_1 and Z*_2, each on the dim L = 9 words off R_{≤2}
-        assert sizes == [36, 9, 9]
+        # R_{≤2} on the 28 words of length 2 (no relation involves one of
+        # the 8 generators), shared by c = 1 and 2, then Z*_1 and Z*_2, each
+        # on the dim L = 9 words off R_{≤2}
+        assert sizes == [28, 9, 9]
 
     def test_cached_queries_hash_no_fraction(self, cold, monkeypatch):
         # an algebra's memo key is hashed once, not with every lookup
