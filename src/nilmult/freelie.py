@@ -224,6 +224,29 @@ class _ProductTable(dict):
         return out
 
 
+class _StratumStarts(Sequence):
+    """The stratum starts of a Hall basis.  A build for d <= 1 stops early:
+    past the stored starts every stratum is empty, so each later entry, up
+    to class + 1, is the dimension, read but not stored."""
+
+    __slots__ = ("_stored", "_len")
+
+    def __init__(self, stored: Sequence[int], length: int):
+        self._stored = tuple(stored)
+        self._len = length
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, n: int) -> int:
+        if not -self._len <= n < self._len:
+            raise IndexError("stratum index out of range")
+        return self._stored[min(n % self._len, len(self._stored) - 1)]
+
+    def __eq__(self, other):
+        return tuple(self) == other
+
+
 class FreeNilpotentAlgebra:
     """Free nilpotent Lie algebra of the given rank and nilpotency class.
 
@@ -240,9 +263,9 @@ class FreeNilpotentAlgebra:
         self.nilpotency_class = nilpotency_class
         self.basis = tuple(basis)
         self.dim = len(basis)
-        # stratum_starts[w] = index of the first word of length w, for 1 <= w
-        # <= class + 1 (the last is the dimension); past an early stop, empty
-        self.stratum_starts = tuple(starts) + (self.dim,) * (nilpotency_class + 2 - len(starts))
+        # stratum_starts[w] = index of the first word of length w, for 0 <= w
+        # <= class + 1 (the last is the dimension)
+        self.stratum_starts = _StratumStarts(starts, nilpotency_class + 2)
         self._table = _ProductTable(self.basis, nilpotency_class)
 
     def products(self) -> dict[tuple[int, int], IntRow]:
@@ -353,17 +376,12 @@ def span_bracket_rows(F: FreeNilpotentAlgebra, rows: Sequence[IntRow], top: int)
     The products are inserted shortest first, so the sparse ones take the
     pivots and the long ones mostly reduce against them.
 
-    Two rules rest on one lemma: the words of weight n >= 2 are spanned by
-    the brackets [u, g] of a word u of weight n - 1 with a generator g.
-
-    * Carry.  If ``rows`` hold the unit row of every word of weight
-      top - 1, the span holds every word of weight ``top``.  Those unit
-      rows are returned as they are, and the products of the other rows
-      are only needed on the lighter words, so they are cut to top - 1.
-    * Fill.  Every product lies in the words of weight w + 1 .. ``top``,
-      for w the lightest weight that a row touches.  Once the products
-      span all of that block, its unit rows are the answer, and the
-      products not yet inserted cannot add to it.
+    One shortcut, the carry, rests on a lemma: the words of weight n >= 2
+    are spanned by the brackets [u, g] of a word u of weight n - 1 with a
+    generator g.  So if ``rows`` hold the unit row of every word of weight
+    top - 1, the span holds every word of weight ``top``.  Those unit rows
+    are returned as they are, and the products of the other rows are only
+    needed on the lighter words, so they are cut to top - 1.
     """
     top = min(top, F.nilpotency_class)
     starts = F.stratum_starts
@@ -376,11 +394,9 @@ def span_bracket_rows(F: FreeNilpotentAlgebra, rows: Sequence[IntRow], top: int)
             carried = [{j: 1} for j in range(hi, starts[top + 1])]
             top -= 1
     products = []
-    lightest = top
     for row in rows:
         items = sorted(row.items())
         weight = F.weight(items[0][0])
-        lightest = min(lightest, weight)
         for wj in range(1, top - weight + 1):
             cut = starts[top - wj + 1]
             part = {i: ci for i, ci in items if i < cut}
@@ -389,9 +405,7 @@ def span_bracket_rows(F: FreeNilpotentAlgebra, rows: Sequence[IntRow], top: int)
                 if prod:
                     products.append(prod)
     products.sort(key=len, reverse=True)
-    block = range(starts[lightest + 1], starts[top + 1])
     sp = _Spanner()
     while products:  # popped, so each product is freed once inserted
-        if sp.insert(products.pop()) and sp.rank == len(block):
-            return [{j: 1} for j in block] + carried
+        sp.insert(products.pop())
     return sp.canonical() + carried

@@ -19,11 +19,10 @@ algebra at every weight share that chain, the images and R_{≤k}: all of it
 is the algebra's one memo entry.
 
 Each step runs through :func:`~nilmult.freelie.span_bracket_rows`, whose
-two shortcuts rest on one lemma: the words of weight n >= 2 are spanned by
-the [u, g] with u of weight n − 1 and g a generator.  So a C_{t−1} that
-holds every word of weight k + t − 1 gives a C_t that holds every word of
-weight k + t (carry), and a step whose products already span every weight
-they can reach stops inserting (fill).  For H(m) with m >= 2,
+one shortcut, the carry, rests on a lemma: the words of weight n >= 2 are
+spanned by the [u, g] with u of weight n − 1 and g a generator.  So a
+C_{t−1} that holds every word of weight k + t − 1 gives a C_t that holds
+every word of weight k + t, with no product formed.  For H(m) with m >= 2,
 dim M(H(m)) = 2m² − m − 1 says that C_1 = γ_3(F), so C_t = γ_{t+2}(F) at
 every t, and M^(c)(H(m)) = γ_{c+1}(F)/γ_{c+2}(F) for c >= 2.
 
@@ -191,6 +190,8 @@ class Presentation(Record):
             level = [{w: 1}]
             for _ in range(self.c):
                 level = [F.bracket_row_index(row, g) for row in level for g in range(F.rank)]
+                if not any(level):  # then so is every later level
+                    break
             parts = [(s, closure._residue(row)) for s, row in enumerate(level) if row]
             scale = math.lcm(*(q for _, (q, _) in parts))
             image = {s * F.dim + col: v * (scale // q) for s, (q, res) in parts for col, v in res.items()}

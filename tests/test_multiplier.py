@@ -3,6 +3,7 @@ oracles they are checked against."""
 
 import gc
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -439,6 +440,62 @@ class TestClosureChain:
         with pytest.raises(ContainmentError) as err:
             bad.multiplier
         assert err.value.witness == {yx: 1, pres.ambient.dim - 1: 2}
+
+
+def heisenberg_shapes() -> list[LieAlgebra]:
+    rng = random.Random(26)
+    shapes = [heisenberg(2), heisenberg(3), heisenberg(4), direct_sum(heisenberg(2), abelian(1))]
+    return shapes + [fdlie.random_basis_change(L, rng, name=f"moved-{L.name}") for L in shapes]
+
+
+class TestHeisenbergChain:
+    """For H(m) with m >= 2, and H(m)⊕A(r), C_1 = γ_3(F), so each later
+    step is a carry: C_c = γ_{c+2}(F), the coordinate block of the heaviest
+    words, and the steps past the first form no product."""
+
+    @staticmethod
+    def count_brackets(monkeypatch) -> list[int]:
+        calls = [0]
+        bracket = FreeNilpotentAlgebra.bracket_row_index
+
+        def counted(self, row, j):
+            calls[0] += 1
+            return bracket(self, row, j)
+
+        monkeypatch.setattr(FreeNilpotentAlgebra, "bracket_row_index", counted)
+        return calls
+
+    @pytest.mark.parametrize("L", heisenberg_shapes(), ids=lambda L: L.name)
+    def test_closure_is_the_heaviest_stratum(self, L, monkeypatch):
+        clear_caches()
+        calls = self.count_brackets(monkeypatch)
+        d = L.dim - 1  # dim L² = 1
+        for c in (1, 2, 3):
+            before = calls[0]
+            # the cap is raised only where F(d, 2 + c) is past the default
+            pres = present(L, c, dim_cap=max(DIM_CAP, sum(witt(d, n) for n in range(1, c + 3))))
+            F = pres.ambient
+            assert pres.closure == Subspace.coordinate_span(F.dim, range(F.stratum_starts[c + 2], F.dim)), (L.name, c)
+            assert c == 1 or calls[0] == before, (L.name, c)
+        clear_caches()
+
+    def test_rank_one_at_a_huge_weight_stays_small(self, monkeypatch):
+        # [x, x] = 0: F(1, 1 + c) has one word whatever c is, and the
+        # epicenter's first level of brackets is already zero
+        clear_caches()
+        calls = self.count_brackets(monkeypatch)
+        L = abelian(1)
+        tracemalloc.start()
+        try:
+            pres = present(L, 10**6)
+            dimension, rank = pres.multiplier.dimension, pres.epicenter.rank
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dimension == 0 and rank == 1
+        assert peak < 2**20
+        assert calls[0] <= L.dim * pres.ambient.rank
+        clear_caches()
 
 
 class TestClosureCost:
