@@ -243,9 +243,6 @@ class _StratumStarts(Sequence):
             raise IndexError("stratum index out of range")
         return self._stored[min(n % self._len, len(self._stored) - 1)]
 
-    def __eq__(self, other):
-        return tuple(self) == other
-
 
 class FreeNilpotentAlgebra:
     """Free nilpotent Lie algebra of the given rank and nilpotency class.

@@ -30,8 +30,9 @@ R_{≤k} and the epicenter are each one tagged solve, ``_kernel_image``.
 The generators map to units off the pivots of L², and a vector of L² is
 fixed by its entries there, so R_{≤k} is solved on the words of length 2
 to k, each image read at those pivots.  That the words of length k + 1 map
-to 0 is checked on the spans of the images, stratum by stratum, not word by
-word (``_check_class``).  The epicenter is solved on dim L unknowns:
+to 0 is checked as [S_k, generators], S_k the span of the images of the
+words of length k: those words span [F_k, F_1] (``_check_class``).  The
+epicenter is solved on dim L unknowns:
 R/[R,F,…,F] is central of depth c, so only the words that map onto a basis
 of L need testing, and only against generators, which costs dim L · d^c
 brackets for d generators; each word is tagged with its image in L, so the
@@ -250,11 +251,11 @@ def present(L: LieAlgebra, c: int, *, dim_cap: int = DIM_CAP) -> Presentation:
 def _chain(L: LieAlgebra, c: int, dim_cap: int) -> _Chain:
     """The images and R_{≤k} of L, solved in F(d, k + c) for the weight c
     asked first, so that its cap is checked before any work.  Only the
-    words of length <= k are bracketed in L; length k + 1 is checked on
-    spans, and the relation solve reads only the pivots of L²."""
+    words of length <= k are bracketed in L; length k + 1 is checked as
+    [S_k, generators], and the relation solve reads only the pivots of L²."""
     rep = nilpotent_series(L)
     k = rep.nilpotency_class
-    derived = rep.gamma(2) if k >= 1 else Subspace.zero(L.dim)
+    derived = rep.gamma(2)
     d = L.dim - derived.rank
     gens = [{col: 1} for col in range(L.dim) if col not in derived.pivots]
     F = free_nilpotent(d, k + c, dim_cap)
@@ -267,8 +268,8 @@ def _chain(L: LieAlgebra, c: int, dim_cap: int) -> _Chain:
     for w in F.basis[:short]:
         ints.append(gens[w.gen] if w.is_generator else L._ibracket(ints[w.left.key], ints[w.right.key]))
     # brackets of length > k die in an algebra of class k; series(L) has
-    # shown that, so length k + 1 is only checked, on the images' spans
-    _check_class(L, k, [ints[starts[a]:starts[a + 1]] for a in range(1, k + 1)])
+    # shown that, so length k + 1 is only checked
+    _check_class(L, k, ints[starts[k]:short], gens)
     images = tuple(
         {r: v * L.den ** (k - w.length) for r, v in img.items()}
         for w, img in zip(F.basis[:short], ints)
@@ -284,31 +285,26 @@ def _chain(L: LieAlgebra, c: int, dim_cap: int) -> _Chain:
     return _Chain(d, k, images, short_relations)
 
 
-def _check_class(L: LieAlgebra, k: int, strata: list[list[IntRow]]) -> None:
+def _check_class(L: LieAlgebra, k: int, images: list[IntRow], gens: list[IntRow]) -> None:
     """PresentationError unless every word of length k + 1 maps to 0 in L,
-    ``strata[a − 1]`` holding the images of the words of length a <= k.
+    ``images`` holding the images of the words of length k and ``gens``
+    the generator units.
 
-    Each such word is a bracket [u, v] of words of lengths a >= b with
-    a + b = k + 1, and each such bracket is a combination of such words.  So
-    they all map to 0 exactly when every [S_a, S_b] = 0, S_a the span of the
-    images of the words of length a, and by bilinearity the check brackets
-    the canonical bases of S_a and S_b, not every word.
+    F is generated in degree 1, so the words of length k + 1 span
+    [F_k, F_1], and the presentation map carries that onto [S_k, S_1], S_k
+    the span of ``images`` and S_1 that of ``gens``.  By bilinearity the
+    check brackets the canonical basis of S_k with each generator.
     """
-    bases = []
-    for images in strata:
-        sp = _Spanner()
-        for img in images:
-            sp.insert(img)
-        bases.append(sp.canonical())
-    for a in range(k, k // 2, -1):
-        b = k + 1 - a
-        for x in bases[a - 1]:
-            for y in bases[b - 1]:
-                if L._ibracket(x, y):
-                    raise PresentationError(
-                        f"{L.name}: a length-{k + 1} bracket, of the images of words of lengths "
-                        f"{a} and {b}, is non-zero in an algebra of class {k}"
-                    )
+    sp = _Spanner()
+    for img in images:
+        sp.insert(img)
+    for x in sp.canonical():
+        for g in gens:
+            if L._ibracket(x, g):
+                raise PresentationError(
+                    f"{L.name}: a length-{k + 1} bracket, of the images of words of lengths "
+                    f"{k} and 1, is non-zero in an algebra of class {k}"
+                )
 
 
 def subideal_bracket(S: Subspace, ambient: FreeNilpotentAlgebra, depth: int) -> Subspace:

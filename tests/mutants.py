@@ -46,6 +46,8 @@ FULL_STRATUM = (
     "tests/test_multiplier.py::TestWeightTruncation::test_random_subspaces_with_a_full_stratum_match_untruncated"
 )
 HAND_KERNELS = "tests/test_exactlin.py::TestKernelOfMap::test_hand_cases"
+EXACTLIN = "src/nilmult/exactlin.py"
+SPANNER_CANONICAL = "tests/test_exactlin.py::TestSpanner::test_rows_are_canonical_after_every_insert"
 
 MUTANTS = [
     Mutant(
@@ -53,7 +55,7 @@ MUTANTS = [
         FREELIE,
         "        if len(units) == hi - lo:\n",
         "        if len(units) >= hi - lo - 1:\n",
-        (f"{SPAN_RULES}::test_one_unit_row_short_fires_neither_rule",),
+        (f"{SPAN_RULES}::test_one_unit_row_short_does_not_carry",),
         "the carry fires one unit row short of the whole stratum top - 1",
     ),
     Mutant(
@@ -98,7 +100,7 @@ MUTANTS = [
     ),
     Mutant(
         "kernel-keeps-zeros",
-        "src/nilmult/exactlin.py",
+        EXACTLIN,
         "        row = {c: v for c, v in image.items() if v}\n"
         "        row.update((offset + c, v) for c, v in tag.items() if v)\n",
         "        row = dict(image)\n"
@@ -108,7 +110,7 @@ MUTANTS = [
     ),
     Mutant(
         "reduce-unscaled",
-        "src/nilmult/exactlin.py",
+        EXACTLIN,
         "    w = dict(row) if scale == 1 else {c: x * scale for c, x in row.items()}\n",
         "    w = dict(row)\n",
         (HAND_KERNELS, "tests/test_exactlin.py::TestRref::test_rank_nullity"),
@@ -131,6 +133,51 @@ MUTANTS = [
         "",
         ("tests/test_multiplier.py::TestHeisenbergChain::test_rank_one_at_a_huge_weight_stays_small",),
         "the epicenter brackets on through every level after one that is all zero",
+    ),
+    Mutant(
+        "epicenter-skips-a-generator",
+        "src/nilmult/multiplier.py",
+        "for row in level for g in range(F.rank)]",
+        "for row in level for g in range(F.rank - 1)]",
+        (
+            "tests/test_multiplier.py::TestEpicenterSolve::test_matches_upper_centrals_of_the_quotient",
+            "tests/test_multiplier.py::TestCapability::test_heisenberg_one",
+        ),
+        "the epicenter brackets each word with every generator but the last",
+    ),
+    Mutant(
+        "epicenter-residues-unscaled",
+        "src/nilmult/multiplier.py",
+        "v * (scale // q) for s, (q, res)",
+        "v for s, (q, res)",
+        ("tests/test_multiplier.py::TestExteriorSquare::test_schur_multiplier_and_epicenter",),
+        "the epicenter leaves a word's residues at their own scales, not at its one scale",
+    ),
+    Mutant(
+        "class-check-skips-a-generator",
+        "src/nilmult/multiplier.py",
+        "        for g in gens:\n",
+        "        for g in gens[1:]:\n",
+        ("tests/test_multiplier.py::TestPresent::test_class_check_brackets_every_generator",),
+        "the class check brackets S_k with every generator but the first",
+    ),
+    Mutant(
+        "spanner-no-fill-in",
+        EXACTLIN,
+        "                if c in new:\n"
+        "                    cols[c].add(q)\n",
+        "                if c in new:\n"
+        "                    pass\n",
+        (SPANNER_CANONICAL,),
+        "the column index misses the entries a back-substitution adds to a stored row",
+    ),
+    Mutant(
+        "spanner-no-back-substitution",
+        EXACTLIN,
+        "        for q in cols.pop(p, ()):\n",
+        "        for q in ():\n",
+        (SPANNER_CANONICAL, "tests/test_exactlin.py::TestRref::test_hand_elimination"),
+        "an insert leaves its new pivot in the stored rows",
     ),
 ]
 
