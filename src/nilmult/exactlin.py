@@ -10,7 +10,8 @@ ambient coordinate space, so equal subspaces compare equal structurally; the
 One routine, ``_reduce``, reduces a row against such rows for both, touching
 only the pivots the row hits.  It stays on integers: the residue of an
 integer row is a scale s and s times its residual, and ``Subspace.reduce``
-is the ``Fraction`` view of it.
+is the ``Fraction`` view of it.  ``Subspace._residues`` alone brings the
+residues of several rows to one scale.
 
 Every kernel the package needs (the relation kernel of a presentation, the
 epicenter, each term of the upper central series, an intersection) is one
@@ -298,6 +299,13 @@ class Subspace:
         """:func:`_reduce` of ``row`` by this basis.  ``row`` is trusted: its
         indices lie in the ambient and its values are ints."""
         return _reduce(row, self._by_pivot)
+
+    def _residues(self, rows: Iterable[Mapping[int, int]]) -> tuple[int, list[IntRow]]:
+        """(S, [S·(row mod self) for row in rows]), S the lcm of the rows'
+        :meth:`_residue` scales: the one place residues meet a common scale."""
+        parts = [self._residue(row) for row in rows]
+        S = math.lcm(*(s for s, _ in parts))
+        return S, [{c: v * (S // s) for c, v in w.items()} for s, w in parts]
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other)

@@ -381,9 +381,10 @@ def upper_centrals(L: LieAlgebra) -> list[Subspace]:
     contains Z_t, and the basis vectors off the pivots of Z_t span a
     complement of it, so Z_{t+1} is Z_t plus the kernel of
     x ↦ ([x, e_j] mod Z_t)_j on those basis vectors.  Only the stored pairs
-    of the table give non-zero brackets, and a bracket's residue modulo Z_t
-    is read off the residues of the basis vectors, so the solve stays on
-    integers.  Its one caller in the engine is ``SeriesReport.upper``.
+    of the table give non-zero brackets.  ``Z_t._residues`` brings an
+    unknown's brackets modulo Z_t to one scale s, and its tag is s·e_i, so
+    the solve stays on integers.  Its one caller in the engine is
+    ``SeriesReport.upper``.
     """
     n = L.dim
     # pairs[i]: (j, den·[e_i, e_j]) for every stored pair joining i and j
@@ -394,30 +395,15 @@ def upper_centrals(L: LieAlgebra) -> list[Subspace]:
     chain: list[Subspace] = []
     Z = Subspace.zero(n)
     while Z.rank < n:
-        # residue[p] = s·(e_p mod Z) for each pivot p of Z, s the lcm of its
-        # pivot entries: minus the rest of p's row; any other e_k is its own
-        # residue, times s
-        rows = Z.integer_rows()
-        s = math.lcm(*(row[p] for p, row in zip(Z.pivots, rows)))
-        residue = {
-            p: {q: -v * (s // row[p]) for q, v in row.items() if q != p} for p, row in zip(Z.pivots, rows)
-        }
-        # e_i off the pivots, tagged with itself, has the image holding
+        # e_i off the pivots, tagged with s·e_i, has the image holding
         # s·([e_i, e_j] mod Z) at the coordinates j·n + q
-        free = [i for i in range(n) if i not in residue]
+        pivots = set(Z.pivots)
         tagged = []
-        for i in free:
-            image: dict[int, int] = {}
-            for j, combo in pairs[i]:
-                at = j * n
-                for k, c in combo.items():
-                    res = residue.get(k)
-                    if res is None:
-                        image[at + k] = image.get(at + k, 0) + c * s
-                    else:
-                        for q, v in res.items():
-                            image[at + q] = image.get(at + q, 0) + c * v
-            tagged.append((image, {i: 1}))
+        for i in range(n):
+            if i not in pivots:
+                s, residues = Z._residues(combo for _, combo in pairs[i])
+                image = {j * n + q: v for (j, _), w in zip(pairs[i], residues) for q, v in w.items()}
+                tagged.append((image, {i: s}))
         K = Subspace._from_rows(n, _kernel_image(tagged, n * n)[1])
         if chain and K.is_zero:
             break
@@ -460,9 +446,9 @@ def nilpotent_series(L: LieAlgebra) -> SeriesReport:
 def quotient(L: LieAlgebra, ideal: Subspace) -> LieAlgebra:
     """L/I on the non-pivot coordinates of the ideal's RREF basis.
 
-    Only the stored pairs give non-zero brackets; each kept one is reduced
-    modulo I as an integer residue (s, w), standing for w / (s·den), and
-    rescaled to the lcm S of the scales, over the denominator S·den.
+    Only the stored pairs give non-zero brackets; ``ideal._residues`` brings
+    the kept ones modulo I to one scale S, so the table of L/I is their
+    residues over the denominator S·den.
     """
     if ideal.ambient_dim != L.dim:
         raise ValueError(f"ideal lives in Q^{ideal.ambient_dim}, algebra has dim {L.dim}")
@@ -475,14 +461,9 @@ def quotient(L: LieAlgebra, ideal: Subspace) -> LieAlgebra:
                 )
     keep = [c for c in range(L.dim) if c not in ideal.pivots]
     pos = {c: t for t, c in enumerate(keep)}
-    residues = {}
-    for (p, q), combo in L._num.items():
-        if p in pos and q in pos:
-            s, w = ideal._residue(combo)
-            if w:
-                residues[(pos[p], pos[q])] = s, w
-    S = math.lcm(*(s for s, _ in residues.values()))
-    num = {pair: {pos[c]: v * (S // s) for c, v in w.items()} for pair, (s, w) in residues.items()}
+    kept = [(p, q) for p, q in L._num if p in pos and q in pos]
+    S, residues = ideal._residues(L._num[pair] for pair in kept)
+    num = {(pos[p], pos[q]): {pos[c]: v for c, v in w.items()} for (p, q), w in zip(kept, residues) if w}
     labels = [L.basis_labels[c] for c in keep]
     return LieAlgebra._from_num(f"{L.name}/I", labels, S * L.den, num)
 

@@ -41,7 +41,6 @@ solve yields Z*_c(L) itself.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from functools import cached_property
 
@@ -173,11 +172,11 @@ class Presentation(Record):
         Modulo Z_{t-1} the centraliser of x is a subalgebra and the
         generators generate, so x lies in Z_c(F/C) exactly when every
         left-normed [x, g_1, …, g_c] with generators g_i lies in C.  The
-        constraints are those dim L · d^c brackets reduced modulo C, each as
-        an integer residue brought to its word's one scale q.  Word w's row
-        is one ``_kernel_image`` pair: its residues, tagged with q times its
-        integer image in L (the images share one scale), so the tags of the
-        combinations whose residues cancel are Z*_c(L) itself, solved on
+        constraints are those dim L · d^c brackets reduced modulo C, each
+        word's brought to one scale q by ``Subspace._residues``.  Word w's
+        row is one ``_kernel_image`` pair: its residues, tagged with q times
+        its integer image in L (the images share one scale), so the tags of
+        the combinations whose residues cancel are Z*_c(L) itself, solved on
         integers in dim L inserts.  The words map to a basis of L, so the
         tagged rows have rank dim L; less is a bug.
         """
@@ -193,9 +192,8 @@ class Presentation(Record):
                 level = [F.bracket_row_index(row, g) for row in level for g in range(F.rank)]
                 if not any(level):  # then so is every later level
                     break
-            parts = [(s, closure._residue(row)) for s, row in enumerate(level) if row]
-            scale = math.lcm(*(q for _, (q, _) in parts))
-            image = {s * F.dim + col: v * (scale // q) for s, (q, res) in parts for col, v in res.items()}
+            scale, residues = closure._residues(level)
+            image = {s * F.dim + col: v for s, res in enumerate(residues) for col, v in res.items()}
             tagged.append((image, {r: scale * x for r, x in self.images[w].items()}))
         rank, rows = _kernel_image(tagged, F.rank**self.c * F.dim)
         if rank != len(words):

@@ -147,11 +147,41 @@ MUTANTS = [
     ),
     Mutant(
         "epicenter-residues-unscaled",
+        EXACTLIN,
+        "{c: v * (S // s) for c, v in w.items()}",
+        "{c: v for c, v in w.items()}",
+        (
+            "tests/test_multiplier.py::TestExteriorSquare::test_schur_multiplier_and_epicenter",
+            "tests/test_fdlie.py::TestQuotient::test_table_matches_brackets_reduced_modulo_the_ideal",
+        ),
+        "Subspace._residues leaves each residue at its own scale, not at the common one",
+    ),
+    Mutant(
+        "epicenter-tags-unscaled",
         "src/nilmult/multiplier.py",
-        "v * (scale // q) for s, (q, res)",
-        "v for s, (q, res)",
-        ("tests/test_multiplier.py::TestExteriorSquare::test_schur_multiplier_and_epicenter",),
-        "the epicenter leaves a word's residues at their own scales, not at its one scale",
+        "{r: scale * x for r, x in self.images[w].items()}",
+        "self.images[w]",
+        (
+            "tests/test_multiplier.py::TestEpicenterSolve::test_matches_upper_centrals_of_the_quotient",
+            "tests/test_multiplier.py::TestExteriorSquare::test_schur_multiplier_and_epicenter",
+        ),
+        "the epicenter tags a word with its image in L, not with that image at its residues' scale",
+    ),
+    Mutant(
+        "upper-tags-unscaled",
+        "src/nilmult/fdlie.py",
+        "tagged.append((image, {i: s}))",
+        "tagged.append((image, {i: 1}))",
+        ("tests/test_fdlie.py::TestIntegerTable::test_upper_centrals_match_fraction_reference",),
+        "the upper series tags e_i with itself, not with s·e_i at the scale of its residues",
+    ),
+    Mutant(
+        "quotient-den-unscaled",
+        "src/nilmult/fdlie.py",
+        "labels, S * L.den, num)",
+        "labels, L.den, num)",
+        ("tests/test_fdlie.py::TestQuotient::test_table_matches_brackets_reduced_modulo_the_ideal",),
+        "quotient keeps L's denominator, not S·den for residues brought to the scale S",
     ),
     Mutant(
         "class-check-skips-a-generator",

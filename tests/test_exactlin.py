@@ -271,22 +271,32 @@ def test_residue_is_the_integer_form_of_reduce(data):
     S = Subspace(dim, rows)
     assert S.pivots == tuple(pivots)
     assume(any(r[min(r)] != 1 for r in S.integer_rows()))
-    if data.draw(st.booleans()):
-        # a member: an integer combination of the basis rows
-        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
-        v = {}
-        for k, row in zip(coeffs, S.integer_rows()):
-            for c, x in row.items():
-                v[c] = v.get(c, 0) + k * x
-        v = {c: x for c, x in v.items() if x}
-    else:
-        v = {c: x for c in range(dim) if (x := data.draw(st.integers(-5, 5)))}
-    scale, residue = S._residue(v)
-    assert scale >= 1 and all(type(x) is int for x in residue.values())
-    assert not set(residue) & set(S.pivots)
-    assert S.reduce(v) == {c: F(x, scale) for c, x in residue.items()} == oracles.reduce_by_every_pivot(S, v)
-    assert (not residue) == (Subspace(dim, [*S.integer_rows(), v]).rank == S.rank)
-    assert (not residue) == S.contains_subspace(Subspace(dim, [v]))
+    vectors = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        if data.draw(st.booleans()):
+            # a member: an integer combination of the basis rows
+            coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+            v = {}
+            for k, row in zip(coeffs, S.integer_rows()):
+                for c, x in row.items():
+                    v[c] = v.get(c, 0) + k * x
+            v = {c: x for c, x in v.items() if x}
+        else:
+            v = {c: x for c in range(dim) if (x := data.draw(st.integers(-5, 5)))}
+        scale, residue = S._residue(v)
+        assert scale >= 1 and all(type(x) is int for x in residue.values())
+        assert not set(residue) & set(S.pivots)
+        assert S.reduce(v) == {c: F(x, scale) for c, x in residue.items()} == oracles.reduce_by_every_pivot(S, v)
+        assert (not residue) == (Subspace(dim, [*S.integer_rows(), v]).rank == S.rank)
+        assert (not residue) == S.contains_subspace(Subspace(dim, [v]))
+        vectors.append(v)
+    # _residues brings them to one scale, the lcm of theirs
+    common, residues = S._residues(vectors)
+    assert common == math.lcm(*(S._residue(v)[0] for v in vectors))
+    assert len(residues) == len(vectors)
+    for v, w in zip(vectors, residues):
+        assert all(type(x) is int for x in w.values())
+        assert {c: F(x, common) for c, x in w.items()} == S.reduce(v)
 
 
 # images of up to seven unknowns over int and tuple coordinates, with int

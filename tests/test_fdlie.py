@@ -234,6 +234,46 @@ class TestQuotient:
                 expected = rep.gamma(k).sum(ideal).quotient_dim(ideal)
                 assert qrep.gamma(k).rank == expected, (L.name, k)
 
+    def test_table_matches_brackets_reduced_modulo_the_ideal(self):
+        # in a random basis the ideal's rows have pivot entries other than 1;
+        # with each summand of H(1)⊕H(1) in its own random basis, only the
+        # first summand's brackets hit the pivot of a central line, so the
+        # kept brackets leave their residues at unequal scales
+        def central_line(rep, rng):
+            rows = rep.z(1).integer_rows()
+            combo = {}
+            for row in rows:
+                k = rng.choice((1, 2, -3))
+                for c, v in row.items():
+                    combo[c] = combo.get(c, 0) + k * v
+            return Subspace(rep.algebra.dim, [combo])
+
+        h2a1 = direct_sum(heisenberg(2), abelian(1))
+        n24 = from_free_nilpotent(freelie.free_nilpotent(2, 4))
+        shapes = [
+            (lambda rng: random_basis_change(h2a1, rng), central_line),
+            (lambda rng: random_basis_change(n24, rng), lambda rep, rng: rep.gamma(3)),
+            (
+                lambda rng: direct_sum(*(random_basis_change(heisenberg(1), rng) for _ in range(2))),
+                central_line,
+            ),
+        ]
+        non_unit = 0
+        for moved_of, ideal_of in shapes:
+            for seed in range(30):
+                rng = random.Random(seed)
+                moved = moved_of(rng)
+                ideal = ideal_of(series(moved), rng)
+                non_unit += any(r[min(r)] != 1 for r in ideal.integer_rows())
+                q = quotient(moved, ideal)
+                keep = [c for c in range(moved.dim) if c not in ideal.pivots]
+                assert q.dim == len(keep)
+                for a in range(len(keep)):
+                    for b in range(a + 1, len(keep)):
+                        residual = oracles.reduce_by_every_pivot(ideal, moved.bracket_basis(keep[a], keep[b]))
+                        assert q.bracket_basis(a, b) == {keep.index(c): v for c, v in residual.items()}
+        assert non_unit >= 45
+
     def test_full_quotient_is_trivial(self):
         a = abelian(1)
         q = quotient(a, Subspace.full(1))
@@ -555,24 +595,28 @@ class TestIntegerTable:
             direct_sum(heisenberg(1), abelian(2)),
             self.mixed(),
         ]
+        tables = []
         for L in shapes:
             moved = random_basis_change(L, rng)
-            tables = [list(moved.entries())]
+            tables.append((moved.basis_labels, list(moved.entries())))
             # each pair rescaled on its own: no longer a Lie bracket, but a
             # bilinear table with unrelated denominators, some entries int
-            tables.append([
+            tables.append((moved.basis_labels, [
                 (i, j, {k: v * F(rng.choice((1, -2, 3)), rng.randint(1, 5)) for k, v in combo.items()})
                 for i, j, combo in moved.entries()
-            ])
-            tables.append([(i, j, {k: 2 for k in combo}) for i, j, combo in moved.entries()])
-            for entries in tables:
-                brackets = {(i, j): combo for i, j, combo in entries}
-                table = oracles.unchecked("t", moved.basis_labels, brackets)
-                rep = series(table)
-                assert list(rep.upper) == oracles.upper_centrals_by_fractions(moved.dim, entries)
-                for steps in (1, 2, 3):
-                    assert [rep.z(t) for t in range(1, steps + 1)] == \
-                        oracles.upper_centrals_by_fractions(moved.dim, entries, steps)
+            ]))
+            tables.append((moved.basis_labels, [(i, j, {k: 2 for k in combo}) for i, j, combo in moved.entries()]))
+        # a bilinear table whose Z_2 is wrong unless each unknown's tag
+        # carries the scale of its residues modulo Z_1
+        tables.append((("a", "b", "c", "d"), [(0, 1, {3: -1}), (0, 2, {1: -2, 3: -1}), (0, 3, {3: -2})]))
+        for labels, entries in tables:
+            brackets = {(i, j): combo for i, j, combo in entries}
+            table = oracles.unchecked("t", labels, brackets)
+            rep = series(table)
+            assert list(rep.upper) == oracles.upper_centrals_by_fractions(len(labels), entries)
+            for steps in (1, 2, 3):
+                assert [rep.z(t) for t in range(1, steps + 1)] == \
+                    oracles.upper_centrals_by_fractions(len(labels), entries, steps)
 
     def test_lower_series_skips_zero_brackets(self, monkeypatch):
         calls = []
