@@ -7,11 +7,12 @@ equivalent to rational Gauss-Jordan elimination but avoids per-entry
 the unique fully reduced (canonical) basis of such rows inside a fixed
 ambient coordinate space, so equal subspaces compare equal structurally; the
 ``_Spanner`` that builds one keeps its rows in that form after every insert.
-One routine, ``_reduce``, reduces a row against such rows for both, touching
-only the pivots the row hits.  It stays on integers: the residue of an
-integer row is a scale s and s times its residual, and ``Subspace.reduce``
-is the ``Fraction`` view of it.  ``Subspace._residues`` alone brings the
-residues of several rows to one scale.
+One routine, ``_reduce``, combines rows for both: it reduces a row against
+such rows, touching only the pivots the row hits, and the ``_Spanner``
+clears each new pivot from its stored rows with it.  It stays on integers:
+the residue of an integer row is a scale s and s times its residual, and
+``Subspace.reduce`` is the ``Fraction`` view of it.  ``Subspace._residues``
+alone brings the residues of several rows to one scale.
 
 Every kernel the package needs (the relation kernel of a presentation, the
 epicenter, each term of the upper central series, an intersection) is one
@@ -123,31 +124,14 @@ def _reduce(row: Mapping[int, int], by_pivot: Mapping[int, IntRow]) -> tuple[int
     return scale, w
 
 
-def _eliminate(v: IntRow, row: IntRow, p: int) -> IntRow:
-    """A primitive multiple of v with column p cleared against ``row`` (pivot p)."""
-    a, b = row[p], v[p]
-    g = math.gcd(a, b)
-    a //= g
-    b //= g
-    out = {c: a * x for c, x in v.items()}
-    for c, x in row.items():
-        n = out.get(c, 0) - b * x
-        if n:
-            out[c] = n
-        else:
-            out.pop(c, None)
-    g = math.gcd(*out.values())
-    if g > 1:
-        out = {c: x // g for c, x in out.items()}
-    return out
-
-
 class _Spanner:
     """Incremental row space, canonical after every insert: one primitive
     row per pivot, positive there and zero at every other pivot.  An insert
-    reduces the row by :func:`_reduce`; an independent remainder then clears
-    its pivot from the stored rows with an entry there, which ``_cols``
-    (non-pivot column -> pivots of the rows with an entry in it) finds."""
+    reduces the row by :func:`_reduce`; an independent remainder w, made
+    primitive, then clears its pivot p from each stored row with an entry
+    there, which ``_cols`` (non-pivot column -> pivots of the rows with an
+    entry in it) finds: the row becomes the primitive part of
+    :func:`_reduce` of it by {p: w}."""
 
     __slots__ = ("rows", "_cols")
 
@@ -171,7 +155,7 @@ class _Spanner:
                 cols.setdefault(c, set()).add(p)
         for q in cols.pop(p, ()):
             old = rows[q]
-            new = rows[q] = _eliminate(old, w, p)
+            new = rows[q] = _primitive(_reduce(old, {p: w})[1])
             for c in w:  # a row changes only on the columns of w
                 if c in new:
                     cols[c].add(q)

@@ -377,38 +377,34 @@ def _lower_centrals(L: LieAlgebra) -> list[Subspace]:
 def upper_centrals(L: LieAlgebra) -> list[Subspace]:
     """Z₁, Z₂, … of L until the series stabilises (the repeat is dropped).
 
-    Each term is one kernel solve.  Z_{t+1} = {x : [x, e_j] ∈ Z_t for all j}
-    contains Z_t, and the basis vectors off the pivots of Z_t span a
-    complement of it, so Z_{t+1} is Z_t plus the kernel of
-    x ↦ ([x, e_j] mod Z_t)_j on those basis vectors.  Only the stored pairs
-    of the table give non-zero brackets.  ``Z_t._residues`` brings an
-    unknown's brackets modulo Z_t to one scale s, and its tag is s·e_i, so
-    the solve stays on integers.  Its one caller in the engine is
-    ``SeriesReport.upper``.
+    Each term is one kernel solve, by Z_{t+1}/Z_t = Z(L/Z_t).  No ideal
+    check is needed: by definition [Z_t, e_j] ⊆ Z_{t−1} ⊆ Z_t, so Z_t is an
+    ideal for any antisymmetric table, and ``_quotient`` gives L/Z_t on the
+    basis vectors off the pivots of Z_t, its residues at one scale.  The
+    centre of that table is the kernel of x ↦ ([x, e_j])_j, with unit tags;
+    only its stored pairs give non-zero brackets.  Its rows, lifted onto
+    the kept coordinates, complete Z_t to Z_{t+1}.  Its one caller in the
+    engine is ``SeriesReport.upper``.
     """
     n = L.dim
-    # pairs[i]: (j, den·[e_i, e_j]) for every stored pair joining i and j
-    pairs: list[list[tuple[int, IntRow]]] = [[] for _ in range(n)]
-    for (i, j), combo in L._num.items():
-        pairs[i].append((j, combo))
-        pairs[j].append((i, {k: -v for k, v in combo.items()}))
     chain: list[Subspace] = []
     Z = Subspace.zero(n)
     while Z.rank < n:
-        # e_i off the pivots, tagged with s·e_i, has the image holding
-        # s·([e_i, e_j] mod Z) at the coordinates j·n + q
-        pivots = set(Z.pivots)
-        tagged = []
-        for i in range(n):
-            if i not in pivots:
-                s, residues = Z._residues(combo for _, combo in pairs[i])
-                image = {j * n + q: v for (j, _), w in zip(pairs[i], residues) for q, v in w.items()}
-                tagged.append((image, {i: s}))
-        K = Subspace._from_rows(n, _kernel_image(tagged, n * n)[1])
-        if chain and K.is_zero:
-            break
+        Q = _quotient(L, Z)
+        keep = [c for c in range(n) if c not in Z.pivots]
+        m = Q.dim
+        # e_i's image holds den·[e_i, e_j] of L/Z at the coordinates j·m + q
+        images: list[IntRow] = [{} for _ in range(m)]
+        for (i, j), combo in Q._num.items():
+            images[i].update((j * m + q, v) for q, v in combo.items())
+            images[j].update((i * m + q, -v) for q, v in combo.items())
+        rows = _kernel_image([(image, {i: 1}) for i, image in enumerate(images)], m * m)[1]
+        K = Subspace._from_rows(n, [{keep[c]: v for c, v in r.items()} for r in rows])
         # K meets Z only in 0: once the ranks add up to dim L, Z_{t+1} is L
-        Z = Z.sum(K) if Z.rank + K.rank < n else Subspace.full(n)
+        nxt = Z.sum(K) if Z.rank + K.rank < n else Subspace.full(n)
+        if chain and nxt.rank == Z.rank:  # every step grows Z or ends the loop
+            break
+        Z = nxt
         chain.append(Z)
     return chain
 
@@ -444,12 +440,8 @@ def nilpotent_series(L: LieAlgebra) -> SeriesReport:
 
 
 def quotient(L: LieAlgebra, ideal: Subspace) -> LieAlgebra:
-    """L/I on the non-pivot coordinates of the ideal's RREF basis.
-
-    Only the stored pairs give non-zero brackets; ``ideal._residues`` brings
-    the kept ones modulo I to one scale S, so the table of L/I is their
-    residues over the denominator S·den.
-    """
+    """L/I on the non-pivot coordinates of the ideal's RREF basis;
+    NonIdealError unless I is an ideal of L."""
     if ideal.ambient_dim != L.dim:
         raise ValueError(f"ideal lives in Q^{ideal.ambient_dim}, algebra has dim {L.dim}")
     for row in ideal.integer_rows():
@@ -459,6 +451,14 @@ def quotient(L: LieAlgebra, ideal: Subspace) -> LieAlgebra:
                     "subspace is not an ideal: bracket with a basis vector leaves it",
                     (dict(row), j),
                 )
+    return _quotient(L, ideal)
+
+
+def _quotient(L: LieAlgebra, ideal: Subspace) -> LieAlgebra:
+    """``quotient`` for an ideal the caller vouches for.  Only the stored
+    pairs give non-zero brackets; ``ideal._residues`` brings the kept ones
+    modulo I to one scale S, so the table of L/I is their residues over the
+    denominator S·den."""
     keep = [c for c in range(L.dim) if c not in ideal.pivots]
     pos = {c: t for t, c in enumerate(keep)}
     kept = [(p, q) for p, q in L._num if p in pos and q in pos]

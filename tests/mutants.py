@@ -48,6 +48,7 @@ FULL_STRATUM = (
 HAND_KERNELS = "tests/test_exactlin.py::TestKernelOfMap::test_hand_cases"
 EXACTLIN = "src/nilmult/exactlin.py"
 SPANNER_CANONICAL = "tests/test_exactlin.py::TestSpanner::test_rows_are_canonical_after_every_insert"
+UPPER_REFERENCE = "tests/test_fdlie.py::TestIntegerTable::test_upper_centrals_match_fraction_reference"
 
 MUTANTS = [
     Mutant(
@@ -153,6 +154,7 @@ MUTANTS = [
         (
             "tests/test_multiplier.py::TestExteriorSquare::test_schur_multiplier_and_epicenter",
             "tests/test_fdlie.py::TestQuotient::test_table_matches_brackets_reduced_modulo_the_ideal",
+            UPPER_REFERENCE,
         ),
         "Subspace._residues leaves each residue at its own scale, not at the common one",
     ),
@@ -168,12 +170,20 @@ MUTANTS = [
         "the epicenter tags a word with its image in L, not with that image at its residues' scale",
     ),
     Mutant(
-        "upper-tags-unscaled",
+        "upper-lift-unshifted",
         "src/nilmult/fdlie.py",
-        "tagged.append((image, {i: s}))",
-        "tagged.append((image, {i: 1}))",
-        ("tests/test_fdlie.py::TestIntegerTable::test_upper_centrals_match_fraction_reference",),
-        "the upper series tags e_i with itself, not with s·e_i at the scale of its residues",
+        "{keep[c]: v for c, v in r.items()}",
+        "{c: v for c, v in r.items()}",
+        (UPPER_REFERENCE,),
+        "the upper series puts the centre of L/Z_t on the first coordinates, not on those off Z_t's pivots",
+    ),
+    Mutant(
+        "upper-one-sided",
+        "src/nilmult/fdlie.py",
+        "            images[j].update((i * m + q, -v) for q, v in combo.items())\n",
+        "",
+        (UPPER_REFERENCE,),
+        "the centre of L/Z_t sees [e_i, e_j] of a stored pair i < j only as a bracket of e_i",
     ),
     Mutant(
         "quotient-den-unscaled",
@@ -200,6 +210,14 @@ MUTANTS = [
         "                    pass\n",
         (SPANNER_CANONICAL,),
         "the column index misses the entries a back-substitution adds to a stored row",
+    ),
+    Mutant(
+        "spanner-clears-unprimitive",
+        EXACTLIN,
+        "new = rows[q] = _primitive(_reduce(old, {p: w})[1])",
+        "new = rows[q] = _reduce(old, {p: w})[1]",
+        (SPANNER_CANONICAL,),
+        "a stored row cleared of a new pivot keeps the scale of the clearing, not its primitive part",
     ),
     Mutant(
         "spanner-no-back-substitution",

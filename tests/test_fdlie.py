@@ -606,9 +606,17 @@ class TestIntegerTable:
                 for i, j, combo in moved.entries()
             ]))
             tables.append((moved.basis_labels, [(i, j, {k: 2 for k in combo}) for i, j, combo in moved.entries()]))
-        # a bilinear table whose Z_2 is wrong unless each unknown's tag
-        # carries the scale of its residues modulo Z_1
+        # a bilinear table whose Z_2 is wrong unless the brackets modulo
+        # Z_1 are brought to one scale before the centre is solved
         tables.append((("a", "b", "c", "d"), [(0, 1, {3: -1}), (0, 2, {1: -2, 3: -1}), (0, 3, {3: -2})]))
+        # non-nilpotent algebras, whose series stops short of L: aff(1),
+        # sl2⊕A(1), and t acting on H(1) by diag(1, −1), alone and ⊕H(1)
+        t_h1 = LieAlgebra("t⋉H(1)", ("t", "x", "y", "z"), {(0, 1): {1: 1}, (0, 2): {2: -1}, (1, 2): {3: 1}})
+        for L, ranks in ((two_dim_nonabelian(), [0]), (direct_sum(sl2(), abelian(1)), [1]),
+                         (t_h1, [1]), (direct_sum(t_h1, heisenberg(1)), [2, 4])):
+            for moved in (L, random_basis_change(L, rng)):
+                assert [Z.rank for Z in series(moved).upper] == ranks, moved.name
+                tables.append((moved.basis_labels, list(moved.entries())))
         for labels, entries in tables:
             brackets = {(i, j): combo for i, j, combo in entries}
             table = oracles.unchecked("t", labels, brackets)
